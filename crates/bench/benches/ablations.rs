@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for Spider's main design knobs:
 //! consensus batch size, global flow control `z` with a slow execution
 //! group, checkpoint interval, and IRMC subchannel capacity.
 //!
@@ -11,7 +11,7 @@ use spider_app::{kv_op_factory, KvStore};
 use spider_harness::ec2_topology;
 use spider_harness::experiments::{batching, commit_channel, fig9bcd};
 use spider_harness::stats::LatencySummary;
-use spider_irmc::Variant;
+use spider_irmc::ChannelMode;
 use spider_sim::Simulation;
 use spider_types::SimTime;
 
@@ -128,7 +128,7 @@ fn ablation_irmc_capacity() {
             capacity: cap,
             seed: 42,
         };
-        let row = fig9bcd::run_point(Variant::ReceiverCollect, 1024, &cfg);
+        let row = fig9bcd::run_point(ChannelMode::ReliableCast { dedup: true }, 1024, &cfg);
         println!("{cap:<10} {:>14.0}", row.throughput_rps);
     }
 }

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spider_harness::experiments::fig9bcd;
-use spider_irmc::Variant;
+use spider_irmc::ChannelMode;
 use spider_types::SimTime;
 
 fn regenerate() {
@@ -20,10 +20,10 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig9bcd");
     g.sample_size(10);
     g.bench_function("irmc_rc_1kb_flood", |b| {
-        b.iter(|| fig9bcd::run_point(Variant::ReceiverCollect, 1024, &quick))
+        b.iter(|| fig9bcd::run_point(ChannelMode::ReliableCast { dedup: true }, 1024, &quick))
     });
     g.bench_function("irmc_sc_1kb_flood", |b| {
-        b.iter(|| fig9bcd::run_point(Variant::SenderCollect, 1024, &quick))
+        b.iter(|| fig9bcd::run_point(ChannelMode::SenderCast { overlap: true }, 1024, &quick))
     });
     g.finish();
 }

@@ -10,7 +10,7 @@
 //!    load),
 //! 4. the commit-channel range-certification sweep (slots/s at
 //!    agreement-replica saturation for range sizes 1/8/32/128, for
-//!    legacy IRMC-RC, digest-only dedup IRMC-RC, and IRMC-SC) and the
+//!    IRMC-RC with its digest-only range fan-in, and IRMC-SC) and the
 //!    IRMC-SC §A.9 overlap latency comparison,
 //! 5. the disaster suite (correlated outage, WAN partition, view-change
 //!    storm, placement frontier) with goodput/unavailability/recovery
@@ -78,8 +78,6 @@ const COMMIT_RANGE_SPEEDUP_FLOOR: f64 = 3.0;
 const COMMIT_RANGES: [usize; 4] = [1, 8, 32, 128];
 
 /// Saturation floor of the digest-only RC fan-in at range 32 (slots/s).
-/// The hash wall this redesign removes capped the legacy RC receiver
-/// well below this.
 const DEDUP_SATURATION_FLOOR: f64 = 100_000.0;
 
 /// Ceiling on dedup-RC per-slot receiver CPU relative to IRMC-SC's at
@@ -269,16 +267,11 @@ fn main() {
         "commit-channel saturation: {commit_slots_range1:.0} slots/s per-slot -> \
          {commit_slots_range32:.0} slots/s at range 32 ({commit_speedup:.1}x)"
     );
-    // Headline of the digest-only fan-in: the commit mode Spider deploys
-    // by default (IRMC-RC with dedup).
-    let dedup_slots_range32 = commit_cell("IRMC-RC-dedup", 32);
-    let rc_dedup_rx_us = rx_us_per_slot("IRMC-RC-dedup", 32);
-    let rc_legacy_rx_us = rx_us_per_slot("IRMC-RC", 32);
+    // Receiver cost of the digest-only fan-in, the commit mode Spider
+    // deploys by default, against IRMC-SC's.
+    let rc_dedup_rx_us = rx_us_per_slot("IRMC-RC", 32);
     let sc_rx_us = rx_us_per_slot("IRMC-SC", 32);
-    println!(
-        "dedup fan-in at range 32: {dedup_slots_range32:.0} slots/s, receiver \
-         {rc_dedup_rx_us:.2} µs/slot (legacy RC {rc_legacy_rx_us:.2}, SC {sc_rx_us:.2})\n"
-    );
+    println!("RC fan-in at range 32: receiver {rc_dedup_rx_us:.2} µs/slot (SC {sc_rx_us:.2})\n");
 
     println!("bench_summary: traced dedup-RC range-32 flood (CPU attribution)…");
     let (_, commit_trace) = commit_channel::run_flood_traced(
@@ -401,7 +394,7 @@ fn main() {
     println!("adaptive beats fixed-size batching at low load (p50): {low_win}");
     println!("adaptive beats the greedy default at high load (throughput): {high_win}");
 
-    let mut json = String::from("{\n  \"schema\": 3,\n");
+    let mut json = String::from("{\n  \"schema\": 4,\n");
     let _ = writeln!(json, "  \"fig7_spider_p50_ms\": {},", json_f64(spider_p50));
     let _ = writeln!(json, "  \"tail_dominant_segment\": \"{tail_dominant}\",");
     let _ = writeln!(json, "  \"tail_dominant_share\": {},", json_f64(tail_share));
@@ -421,13 +414,7 @@ fn main() {
     let _ =
         writeln!(json, "  \"commit_slots_per_sec_range32\": {},", json_f64(commit_slots_range32));
     let _ = writeln!(json, "  \"commit_range32_speedup\": {},", json_f64(commit_speedup));
-    let _ = writeln!(
-        json,
-        "  \"commit_slots_per_sec_range32_dedup\": {},",
-        json_f64(dedup_slots_range32)
-    );
     let _ = writeln!(json, "  \"rc_dedup_rx_us_per_slot\": {},", json_f64(rc_dedup_rx_us));
-    let _ = writeln!(json, "  \"rc_legacy_rx_us_per_slot\": {},", json_f64(rc_legacy_rx_us));
     let _ = writeln!(json, "  \"sc_rx_us_per_slot\": {},", json_f64(sc_rx_us));
     let _ = writeln!(json, "  \"sc_overlap_p50_ms\": {},", json_f64(sc_overlap_p50));
     let _ = writeln!(json, "  \"sc_ship_after_bundle_p50_ms\": {},", json_f64(sc_after_bundle_p50));
@@ -615,13 +602,13 @@ fn main() {
         // within the SC ratio ceiling.
         let rx_ratio = rc_dedup_rx_us / sc_rx_us;
         println!(
-            "perf gate: dedup RC range-32 saturation = {dedup_slots_range32:.0} slots/s \
+            "perf gate: dedup RC range-32 saturation = {commit_slots_range32:.0} slots/s \
              (floor {DEDUP_SATURATION_FLOOR:.0}), receiver {rc_dedup_rx_us:.2} µs/slot = \
              {rx_ratio:.2}x SC (ceiling {DEDUP_RX_CPU_RATIO_CEIL:.1}x)"
         );
-        if !(dedup_slots_range32.is_finite() && dedup_slots_range32 > DEDUP_SATURATION_FLOOR) {
+        if !(commit_slots_range32.is_finite() && commit_slots_range32 > DEDUP_SATURATION_FLOOR) {
             eprintln!(
-                "DEDUP REGRESSION: digest-only RC saturates at {dedup_slots_range32:.0} slots/s \
+                "DEDUP REGRESSION: digest-only RC saturates at {commit_slots_range32:.0} slots/s \
                  at range 32 (floor {DEDUP_SATURATION_FLOOR:.0})"
             );
             std::process::exit(1);

@@ -19,7 +19,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spider_consensus::{Input, Output, Pbft, PbftConfig, TimerToken};
 use spider_crypto::Keyring;
 use spider_irmc::{
-    Action, IrmcConfig, ReceiveResult, ReceiverEndpoint, SenderEndpoint, Variant, OP_RECAST,
+    Action, ChannelMode, IrmcConfig, ReceiveResult, ReceiverEndpoint, SenderEndpoint, OP_RECAST,
 };
 use spider_sim::{
     req_id, Actor, Context, Timer, TimerId, PHASE_BATCH, PHASE_COMMIT, PHASE_PROPOSE, PHASE_RECAST,
@@ -136,7 +136,7 @@ impl AgreementReplica {
         let n_exec = self.cfg.execution_size();
         let n_agree = self.cfg.agreement_size();
         let req_cfg = IrmcConfig::new(
-            self.cfg.request_variant,
+            self.cfg.request_mode,
             n_exec,
             self.cfg.fe,
             n_agree,
@@ -756,7 +756,7 @@ impl AgreementReplica {
         // tick lazily while any channel holds undelivered content, so a
         // partition that swallowed the one-shot casts cannot wedge the
         // system, yet idle runs still quiesce.
-        if self.cfg.commit_mode.variant() != Variant::SenderCollect
+        if matches!(self.cfg.commit_mode, ChannelMode::ReliableCast { .. })
             && self.channels.values().any(|ch| ch.commit_send.has_unacked())
         {
             let interval = self.commit_tick_interval();
@@ -938,7 +938,7 @@ impl Actor<SpiderMsg> for AgreementReplica {
         // The tick drives SC progress announcements and, when the range
         // linger is on, deadline flushes of buffered commit ranges (so RC
         // commit channels need it then too).
-        if self.cfg.commit_mode.variant() == Variant::SenderCollect
+        if matches!(self.cfg.commit_mode, ChannelMode::SenderCast { .. })
             || self.cfg.commit_range_linger > SimTime::ZERO
         {
             self.arm_timer(ctx, TAG_SC_TICK, self.commit_tick_interval());
@@ -1051,7 +1051,7 @@ impl Actor<SpiderMsg> for AgreementReplica {
                 // SC (and lingering) channels keep a standing heartbeat;
                 // RC keeps ticking only while content is undelivered
                 // (recast liveness), so idle runs quiesce.
-                if self.cfg.commit_mode.variant() == Variant::SenderCollect
+                if matches!(self.cfg.commit_mode, ChannelMode::SenderCast { .. })
                     || self.cfg.commit_range_linger > SimTime::ZERO
                     || self.channels.values().any(|ch| ch.commit_send.has_unacked())
                 {

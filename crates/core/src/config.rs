@@ -2,7 +2,7 @@
 
 use spider_consensus::PbftConfig;
 use spider_crypto::CostModel;
-use spider_irmc::{ChannelMode, Variant};
+use spider_irmc::ChannelMode;
 use spider_types::SimTime;
 
 /// Configuration of a Spider deployment.
@@ -31,11 +31,11 @@ pub struct SpiderConfig {
     pub request_capacity: u64,
     /// Capacity of the commit subchannel (must be `>= ke`).
     pub commit_capacity: u64,
-    /// IRMC implementation for request channels.
-    pub request_variant: Variant,
-    /// IRMC implementation and tuning for commit channels: which fan-in
-    /// the channel uses plus the knob that matters for it (digest-only
-    /// dedup for IRMC-RC, §A.9 overlap for IRMC-SC).
+    /// IRMC implementation for request channels. Requests cross them one
+    /// slot at a time, so only the RC-vs-SC choice matters here.
+    pub request_mode: ChannelMode,
+    /// IRMC implementation for commit channels, with the §A.9 overlap
+    /// knob when it is IRMC-SC.
     pub commit_mode: ChannelMode,
     /// Client retry interval (Fig 15 `t_retry`).
     pub client_retry: SimTime,
@@ -66,8 +66,8 @@ pub struct SpiderConfig {
     /// Maximum slots per commit-channel range certificate: a batch of
     /// consecutively ordered requests is certified with **one** RSA
     /// signature over the Merkle root of its per-slot digests instead of
-    /// one signature per slot. 1 disables range certification (legacy
-    /// per-slot wire messages).
+    /// one signature per slot. 1 disables range certification (per-slot
+    /// wire messages only).
     pub commit_max_range: usize,
     /// Optional commit-channel range linger (mirrors `batch_delay`):
     /// consecutive single-slot commit sends accumulate into a pending
@@ -98,7 +98,7 @@ impl Default for SpiderConfig {
             z: 0,
             request_capacity: 2,
             commit_capacity: 128,
-            request_variant: Variant::ReceiverCollect,
+            request_mode: ChannelMode::ReliableCast { dedup: true },
             commit_mode: ChannelMode::ReliableCast { dedup: true },
             client_retry: SimTime::from_millis(2_000),
             group_failover_retries: 3,
@@ -149,24 +149,6 @@ impl SpiderConfig {
     /// Size of each execution group.
     pub fn execution_size(&self) -> usize {
         2 * self.fe + 1
-    }
-
-    /// Sets both IRMC variants (builder-style). The commit channel gets
-    /// the variant's default mode ([`ChannelMode::from`]): IRMC-RC without
-    /// dedup, IRMC-SC with §A.9 overlap. Use [`Self::with_commit_mode`]
-    /// afterwards to tune the commit channel independently.
-    #[must_use]
-    pub fn with_variant(mut self, v: Variant) -> Self {
-        self.request_variant = v;
-        self.commit_mode = v.into();
-        self
-    }
-
-    /// Sets the commit-channel mode (builder-style).
-    #[must_use]
-    pub fn with_commit_mode(mut self, mode: impl Into<ChannelMode>) -> Self {
-        self.commit_mode = mode.into();
-        self
     }
 
     /// Sets the cost model (builder-style).
@@ -279,16 +261,6 @@ mod tests {
             ChannelMode::ReliableCast { dedup: true },
             "digest-only fan-in is on by default"
         );
-    }
-
-    #[test]
-    fn with_variant_resets_commit_mode_to_the_variant_default() {
-        let c = SpiderConfig::default().with_variant(Variant::SenderCollect);
-        assert_eq!(c.commit_mode, ChannelMode::SenderCast { overlap: true }, "§A.9 default");
-        let c = c.with_commit_mode(ChannelMode::SenderCast { overlap: false });
-        assert!(!c.commit_mode.overlap());
-        let c = SpiderConfig::default().with_variant(Variant::ReceiverCollect);
-        assert_eq!(c.commit_mode, ChannelMode::ReliableCast { dedup: false }, "legacy RC");
     }
 
     #[test]

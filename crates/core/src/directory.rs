@@ -8,8 +8,9 @@
 //! it exactly when the paper would update the registry (on ordered
 //! `AddGroup`/`RemoveGroup` commands), and clients read it to find their
 //! group's replicas. The *control path* (ordering of reconfigurations) is
-//! fully faithful; only the lookup RPC is collapsed into shared memory —
-//! a substitution documented in DESIGN.md.
+//! fully faithful; only the lookup RPC is collapsed into shared memory, a
+//! deliberate simplification of the simulation model (lookups cost no
+//! messages and no time).
 
 use parking_lot::RwLock;
 use spider_types::{GroupId, NodeId, RegionId};

@@ -18,7 +18,7 @@ use crate::messages::{
 use bytes::{BufMut, Bytes, BytesMut};
 use spider_crypto::Keyring;
 use spider_irmc::{
-    Action, IrmcConfig, ReceiveResult, ReceiverEndpoint, SendStatus, SenderEndpoint, Variant,
+    Action, ChannelMode, IrmcConfig, ReceiveResult, ReceiverEndpoint, SendStatus, SenderEndpoint,
 };
 use spider_sim::{req_id, Actor, Context, Timer, TimerId, PHASE_DELIVER, PHASE_EXEC};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, SimTime, WireSize};
@@ -96,7 +96,7 @@ impl<A: Application> ExecutionReplica<A> {
         let n_exec = cfg.execution_size();
         let n_agree = cfg.agreement_size();
         let req_cfg = IrmcConfig::new(
-            cfg.request_variant,
+            cfg.request_mode,
             n_exec,
             cfg.fe,
             n_agree,
@@ -491,7 +491,9 @@ impl<A: Application> ExecutionReplica<A> {
         // armed only while submitted requests await receiver-window
         // acknowledgement, so a partition that swallowed the one-shot
         // casts cannot wedge the channel, yet idle runs still quiesce.
-        if self.cfg.request_variant != Variant::SenderCollect && self.req_sender.has_unacked() {
+        if matches!(self.cfg.request_mode, ChannelMode::ReliableCast { .. })
+            && self.req_sender.has_unacked()
+        {
             self.ensure_timer(ctx, TAG_SC_TICK, SimTime::from_millis(20));
         }
     }
@@ -625,7 +627,7 @@ impl<A: Application> ExecutionReplica<A> {
 
 impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
     fn on_start(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
-        if self.cfg.request_variant == Variant::SenderCollect {
+        if matches!(self.cfg.request_mode, ChannelMode::SenderCast { .. }) {
             self.arm_timer(ctx, TAG_SC_TICK, SimTime::from_millis(20));
         }
         self.arm_timer(ctx, TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
@@ -688,7 +690,7 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
                 self.apply_request_channel_actions(ctx, actions);
                 // SC keeps a standing heartbeat; RC re-arms only while
                 // content is undelivered (recast liveness + quiescence).
-                if self.cfg.request_variant == Variant::SenderCollect
+                if matches!(self.cfg.request_mode, ChannelMode::SenderCast { .. })
                     || self.req_sender.has_unacked()
                 {
                     self.arm_timer(ctx, TAG_SC_TICK, SimTime::from_millis(20));

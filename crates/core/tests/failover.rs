@@ -2,7 +2,7 @@
 
 use spider::execution::ExecutionReplica;
 use spider::{CounterApp, DeploymentBuilder, SpiderConfig, WorkloadSpec};
-use spider_irmc::Variant;
+use spider_irmc::ChannelMode;
 use spider_sim::{Simulation, Topology};
 use spider_types::SimTime;
 
@@ -100,10 +100,17 @@ fn removed_group_redirects_clients() {
     assert_eq!(total, 20, "client finished via the Tokyo group");
 }
 
+const SC: ChannelMode = ChannelMode::SenderCast { overlap: true };
+
+/// The default deployment with both channel kinds on `mode`.
+fn both_channels(mode: ChannelMode) -> SpiderConfig {
+    SpiderConfig { request_mode: mode, commit_mode: mode, ..SpiderConfig::default() }
+}
+
 #[test]
 fn sender_collect_variant_works_end_to_end() {
     // Both channels on IRMC-SC: certificates, collectors, progress.
-    let cfg = SpiderConfig::default().with_variant(Variant::SenderCollect);
+    let cfg = both_channels(SC);
     let mut sim = Simulation::new(topology(), 33);
     let mut dep = DeploymentBuilder::new(cfg)
         .agreement_region("virginia")
@@ -125,8 +132,8 @@ fn sender_collect_variant_works_end_to_end() {
 
 #[test]
 fn sender_collect_saves_wan_bytes_vs_receiver_collect() {
-    let run = |variant: Variant| -> u64 {
-        let cfg = SpiderConfig::default().with_variant(variant);
+    let run = |mode: ChannelMode| -> u64 {
+        let cfg = both_channels(mode);
         let mut sim = Simulation::new(topology(), 34);
         let mut dep = DeploymentBuilder::new(cfg)
             .agreement_region("virginia")
@@ -138,7 +145,7 @@ fn sender_collect_saves_wan_bytes_vs_receiver_collect() {
         assert_eq!(samples[0].2.len(), 50);
         sim.stats().total_wan_sent()
     };
-    let rc = run(Variant::ReceiverCollect);
-    let sc = run(Variant::SenderCollect);
+    let rc = run(ChannelMode::ReliableCast { dedup: true });
+    let sc = run(SC);
     assert!(sc < rc, "IRMC-SC must move fewer WAN bytes ({sc} vs {rc}) — Fig 9d");
 }

@@ -1,5 +1,5 @@
 //! Commit-channel microbenchmark: multi-slot range certification vs the
-//! legacy per-slot path, on the commit-channel shape of the fig9bcd
+//! per-slot path, on the commit-channel shape of the fig9bcd
 //! scenario (4 agreement-side senders, `fa = 1` → 3 execution-side
 //! receivers, `fe = 1`, Virginia → Tokyo).
 //!
@@ -20,7 +20,7 @@ use crate::topology::ec2_topology;
 use spider_crypto::{CostModel, Digest, Digestible, Keyring};
 use spider_irmc::{
     Action, ChannelMode, ChannelMsg, IrmcConfig, ReceiveResult, ReceiverEndpoint, ReceiverMsg,
-    SenderEndpoint, Variant,
+    SenderEndpoint,
 };
 use spider_sim::{Actor, Context, NodeId, ObsConfig, ObsReport, Simulation, Timer, PHASE_REQUEST};
 use spider_types::{Position, SimTime, WireSize};
@@ -36,6 +36,9 @@ const SAMPLE_STRIDE: u64 = 97;
 fn sampled(pos: u64) -> bool {
     pos.is_multiple_of(SAMPLE_STRIDE)
 }
+
+/// The IRMC-RC commit mode (digest-only range fan-in).
+const RC: ChannelMode = ChannelMode::ReliableCast { dedup: true };
 
 /// Flood/paced payload: identical content per position on all senders.
 #[derive(Debug, Clone, PartialEq)]
@@ -351,7 +354,7 @@ impl Actor<M> for ReceiverHost {
 pub struct CommitRow {
     /// Channel variant.
     pub variant: String,
-    /// Slots per range certificate (1 = legacy per-slot).
+    /// Slots per range certificate (1 = per-slot messages).
     pub range: usize,
     /// Payload size per slot in bytes.
     pub msg_size: usize,
@@ -390,8 +393,8 @@ impl Default for Config {
             // Large enough that the CPU cost model — not flow control —
             // is the binding constraint at saturation (the window admits
             // ~200k slots/s at this capacity over a 160 ms RTT; the
-            // fastest variant, digest-only dedup RC, saturates near
-            // 137k).
+            // fastest mode, digest-only IRMC-RC, saturates near
+            // 138k).
             capacity: 32768,
             pace: SimTime::from_millis(50),
             seed: 42,
@@ -439,7 +442,7 @@ fn run_inner(
             next_pos: 1,
             receivers: receiver_nodes.clone(),
             peers: sender_nodes.clone(),
-            sc_tick: mode.variant() == Variant::SenderCollect,
+            sc_tick: matches!(mode, ChannelMode::SenderCast { .. }),
             pace: paced.then_some(cfg.pace),
             stop_at: cfg.duration - cfg.pace,
             submits: Vec::new(),
@@ -506,10 +509,8 @@ fn run_inner(
 }
 
 /// Floods the channel with ranges of `range` slots and returns the
-/// saturation throughput point. `mode` selects the fan-in (and, for
-/// IRMC-RC, whether digest-only dedup is on — labelled `IRMC-RC-dedup`).
-pub fn run_flood(mode: impl Into<ChannelMode>, range: usize, cfg: &Config) -> CommitRow {
-    let mode = mode.into();
+/// saturation throughput point. `mode` selects the fan-in.
+pub fn run_flood(mode: ChannelMode, range: usize, cfg: &Config) -> CommitRow {
     let o = run_inner(mode, range, false, false, cfg);
     CommitRow {
         variant: mode.to_string(),
@@ -527,12 +528,7 @@ pub fn run_flood(mode: impl Into<ChannelMode>, range: usize, cfg: &Config) -> Co
 /// enabled: every `Action::Charge` is attributed per (node, component,
 /// operation), so the returned [`ObsReport`] carries the CPU breakdown
 /// that `bench_summary` folds into a flamegraph.
-pub fn run_flood_traced(
-    mode: impl Into<ChannelMode>,
-    range: usize,
-    cfg: &Config,
-) -> (CommitRow, ObsReport) {
-    let mode = mode.into();
+pub fn run_flood_traced(mode: ChannelMode, range: usize, cfg: &Config) -> (CommitRow, ObsReport) {
     let o = run_inner(mode, range, false, true, cfg);
     let row = CommitRow {
         variant: mode.to_string(),
@@ -550,8 +546,7 @@ pub fn run_flood_traced(
 /// Paced submissions measuring submit→deliver commit latency; the mode
 /// carries the per-variant knob (e.g. `SenderCast { overlap }` toggles
 /// the §A.9 content/share-exchange overlap).
-pub fn run_paced(mode: impl Into<ChannelMode>, range: usize, cfg: &Config) -> CommitRow {
-    let mode = mode.into();
+pub fn run_paced(mode: ChannelMode, range: usize, cfg: &Config) -> CommitRow {
     let o = run_inner(mode, range, true, false, cfg);
     CommitRow {
         variant: mode.to_string(),
@@ -566,14 +561,10 @@ pub fn run_paced(mode: impl Into<ChannelMode>, range: usize, cfg: &Config) -> Co
 }
 
 /// The amortization curve: flood throughput for each range size, for
-/// legacy IRMC-RC, digest-only dedup IRMC-RC, and IRMC-SC.
+/// IRMC-RC and IRMC-SC.
 pub fn run_range_sweep(ranges: &[usize], cfg: &Config) -> Vec<CommitRow> {
     let mut rows = Vec::new();
-    for mode in [
-        ChannelMode::ReliableCast { dedup: false },
-        ChannelMode::ReliableCast { dedup: true },
-        ChannelMode::SenderCast { overlap: true },
-    ] {
+    for mode in [RC, ChannelMode::SenderCast { overlap: true }] {
         for &r in ranges {
             rows.push(run_flood(mode, r, cfg));
         }
@@ -625,8 +616,8 @@ mod tests {
     #[test]
     fn flood_range_amortization_beats_per_slot() {
         let cfg = quick();
-        let base = run_flood(Variant::ReceiverCollect, 1, &cfg);
-        let ranged = run_flood(Variant::ReceiverCollect, 32, &cfg);
+        let base = run_flood(RC, 1, &cfg);
+        let ranged = run_flood(RC, 32, &cfg);
         assert_eq!(base.variant, "IRMC-RC");
         assert!(base.slots_per_sec > 0.0);
         assert!(
@@ -640,19 +631,23 @@ mod tests {
 
     #[test]
     fn dedup_cuts_receiver_cpu_per_slot() {
+        // The digest-only fan-in hashes content once per range, like an
+        // IRMC-SC receiver; it must stay within 2x of SC's per-slot
+        // receiver CPU despite the `fs` extra vouches (the same bound
+        // `bench_summary` gates).
         let cfg = quick();
-        let legacy = run_flood(ChannelMode::ReliableCast { dedup: false }, 32, &cfg);
-        let dedup = run_flood(ChannelMode::ReliableCast { dedup: true }, 32, &cfg);
-        assert_eq!(dedup.variant, "IRMC-RC-dedup");
-        assert!(dedup.slots_per_sec > 0.0 && legacy.slots_per_sec > 0.0);
-        let legacy_per_slot = legacy.receiver_cpu / legacy.slots_per_sec;
-        let dedup_per_slot = dedup.receiver_cpu / dedup.slots_per_sec;
+        let rc = run_flood(RC, 32, &cfg);
+        let sc = run_flood(ChannelMode::SenderCast { overlap: true }, 32, &cfg);
+        assert_eq!(rc.variant, "IRMC-RC");
+        assert!(rc.slots_per_sec > 0.0 && sc.slots_per_sec > 0.0);
+        let rc_per_slot = rc.receiver_cpu / rc.slots_per_sec;
+        let sc_per_slot = sc.receiver_cpu / sc.slots_per_sec;
         assert!(
-            dedup_per_slot < 0.5 * legacy_per_slot,
-            "digest-only fan-in must at least halve per-slot receiver CPU \
-             (got {:.3e} vs legacy {:.3e} cpu-s/slot)",
-            dedup_per_slot,
-            legacy_per_slot
+            rc_per_slot <= 2.0 * sc_per_slot,
+            "digest-only fan-in must stay within 2x of IRMC-SC's per-slot receiver CPU \
+             (got {:.3e} vs SC {:.3e} cpu-s/slot)",
+            rc_per_slot,
+            sc_per_slot
         );
     }
 

@@ -15,8 +15,8 @@
 use crate::topology::ec2_topology;
 use spider_crypto::{CostModel, Digest, Digestible, Keyring};
 use spider_irmc::{
-    Action, ChannelMsg, IrmcConfig, ReceiveResult, ReceiverEndpoint, ReceiverMsg, SenderEndpoint,
-    Variant,
+    Action, ChannelMode, ChannelMsg, IrmcConfig, ReceiveResult, ReceiverEndpoint, ReceiverMsg,
+    SenderEndpoint,
 };
 use spider_sim::{Actor, Context, NodeId, Simulation, Timer};
 use spider_types::{Position, SimTime, WireSize};
@@ -258,12 +258,12 @@ impl Default for Config {
     }
 }
 
-/// Runs one (variant, size) point and returns its row.
-pub fn run_point(variant: Variant, msg_size: usize, cfg: &Config) -> IrmcRow {
+/// Runs one (mode, size) point and returns its row.
+pub fn run_point(mode: ChannelMode, msg_size: usize, cfg: &Config) -> IrmcRow {
     let mut sim: Simulation<M> = Simulation::new(ec2_topology(), cfg.seed);
     let n_senders = 4;
     let n_receivers = 3;
-    let icfg = IrmcConfig::new(variant, n_senders, 1, n_receivers, 1, cfg.capacity)
+    let icfg = IrmcConfig::new(mode, n_senders, 1, n_receivers, 1, cfg.capacity)
         .with_cost(CostModel::default());
     let ring = Keyring::new(7);
 
@@ -280,7 +280,7 @@ pub fn run_point(variant: Variant, msg_size: usize, cfg: &Config) -> IrmcRow {
             next_pos: 1,
             receivers: receiver_nodes.clone(),
             peers: sender_nodes.clone(),
-            sc_tick: variant == Variant::SenderCollect,
+            sc_tick: matches!(mode, ChannelMode::SenderCast { .. }),
         };
         let id = sim.add_node(zone, host);
         debug_assert_eq!(id, sender_nodes[i]);
@@ -316,7 +316,7 @@ pub fn run_point(variant: Variant, msg_size: usize, cfg: &Config) -> IrmcRow {
     let lan_bytes: u64 = sender_nodes.iter().map(|n| sim.stats().net(*n).lan_sent).sum();
 
     IrmcRow {
-        variant: variant.to_string(),
+        variant: mode.to_string(),
         msg_size,
         throughput_rps: throughput,
         sender_cpu,
@@ -326,12 +326,14 @@ pub fn run_point(variant: Variant, msg_size: usize, cfg: &Config) -> IrmcRow {
     }
 }
 
-/// Runs the full sweep: both variants × all sizes.
+/// Runs the full sweep: both modes × all sizes.
 pub fn run(cfg: &Config) -> Vec<IrmcRow> {
     let mut rows = Vec::new();
-    for variant in [Variant::ReceiverCollect, Variant::SenderCollect] {
+    for mode in
+        [ChannelMode::ReliableCast { dedup: true }, ChannelMode::SenderCast { overlap: true }]
+    {
         for &size in &cfg.sizes {
-            rows.push(run_point(variant, size, cfg));
+            rows.push(run_point(mode, size, cfg));
         }
     }
     rows

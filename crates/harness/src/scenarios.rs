@@ -82,9 +82,6 @@ pub struct ScenarioCfg {
     pub adaptive_batching: bool,
     /// Consensus pipelining window.
     pub pipeline_depth: usize,
-    /// Commit-channel mode (IRMC-RC with/without digest-only dedup, or
-    /// IRMC-SC with/without §A.9 overlap).
-    pub commit_mode: spider_irmc::ChannelMode,
     /// End-to-end request tracing: enables the simulator's observability
     /// recorder (phase spans, per-node metrics, CPU attribution). Off by
     /// default; [`run_scenario_obs`] turns it on.
@@ -108,7 +105,6 @@ impl Default for ScenarioCfg {
             batch_delay: base.batch_delay,
             adaptive_batching: base.adaptive_batching,
             pipeline_depth: base.pipeline_depth,
-            commit_mode: base.commit_mode,
             tracing: false,
         }
     }
@@ -137,7 +133,6 @@ impl ScenarioCfg {
             batch_delay: self.batch_delay,
             adaptive_batching: self.adaptive_batching,
             pipeline_depth: self.pipeline_depth,
-            commit_mode: self.commit_mode,
             tracing: self.tracing,
             ..SpiderConfig::default()
         }

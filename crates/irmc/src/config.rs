@@ -3,48 +3,25 @@
 use spider_crypto::{CostModel, KeyId};
 use spider_types::SimTime;
 
-/// Which IRMC implementation a channel uses (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum Variant {
-    /// IRMC-RC: every sender ships its signed `Send` to every receiver;
-    /// receivers collect `fs + 1` matching copies (Fig 18).
-    ReceiverCollect,
-    /// IRMC-SC: senders exchange signature shares locally; a collector
-    /// ships one `Certificate` per receiver (Figs 19–20).
-    SenderCollect,
-}
-
-impl std::fmt::Display for Variant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Variant::ReceiverCollect => write!(f, "IRMC-RC"),
-            Variant::SenderCollect => write!(f, "IRMC-SC"),
-        }
-    }
-}
-
-/// How a channel achieves BFT delivery, together with the variant's
-/// performance lever — the single knob that replaces the old
-/// `variant` + `sc_overlap` + dedup boolean sprawl.
-///
-/// Any plain [`Variant`] converts into its legacy-faithful mode
-/// (`From<Variant>`), so call sites that only care about RC-vs-SC keep
-/// passing a `Variant` to [`IrmcConfig::new`].
+/// How a channel achieves BFT delivery (§4), together with the mode's
+/// performance lever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum ChannelMode {
-    /// IRMC-RC: receivers collect `fs + 1` matching submissions.
+    /// IRMC-RC: receivers collect `fs + 1` matching submissions (Fig 18).
+    /// Single slots travel as per-slot signed `Send`s from every sender.
+    /// For ranges, one deterministically-rotated carrier ships content +
+    /// signature while the other senders ship a MAC-authenticated
+    /// `RangeVouch` (subchannel, first, count, Merkle root), so content
+    /// crosses the wire and gets hashed at most once on the happy path.
     ReliableCast {
-        /// Digest-only fan-in: per range, one deterministically-rotated
-        /// carrier ships content + signature while the other senders ship
-        /// a MAC-authenticated `RangeVouch` (subchannel, first, count,
-        /// Merkle root), so content crosses the wire and gets hashed at
-        /// most once on the happy path. `false` is the legacy
-        /// everyone-ships-content fan-in; single-slot sends and ranges of
-        /// length 1 always use the legacy path.
+        /// Must be `true`: the digest-only range fan-in is the only RC
+        /// range path ([`IrmcConfig::new`] rejects `false`). The field
+        /// stays only because the `perfbench` package spells it out; the
+        /// next change to the benchmark removes it.
         dedup: bool,
     },
     /// IRMC-SC: senders exchange signature shares locally; a collector
-    /// ships one certificate per receiver.
+    /// ships one certificate per receiver (Figs 19–20).
     SenderCast {
         /// §A.9: ship range content to receivers before certification
         /// completes, overlapping the intra-region share exchange with
@@ -55,41 +32,20 @@ pub enum ChannelMode {
 }
 
 impl ChannelMode {
-    /// The underlying IRMC variant (for labels and dispatch).
-    pub fn variant(&self) -> Variant {
-        match self {
-            ChannelMode::ReliableCast { .. } => Variant::ReceiverCollect,
-            ChannelMode::SenderCast { .. } => Variant::SenderCollect,
-        }
-    }
-
-    /// Whether the RC digest-only fan-in is active.
-    pub fn dedup(&self) -> bool {
-        matches!(self, ChannelMode::ReliableCast { dedup: true })
-    }
-
-    /// Whether the SC §A.9 content/share-exchange overlap is active.
-    pub fn overlap(&self) -> bool {
-        matches!(self, ChannelMode::SenderCast { overlap: true })
-    }
-}
-
-impl From<Variant> for ChannelMode {
-    /// Maps a bare variant to its legacy-faithful mode: RC without dedup,
-    /// SC with the §A.9 overlap (the pre-`ChannelMode` defaults).
-    fn from(v: Variant) -> Self {
-        match v {
-            Variant::ReceiverCollect => ChannelMode::ReliableCast { dedup: false },
-            Variant::SenderCollect => ChannelMode::SenderCast { overlap: true },
-        }
+    /// Rejects the retired all-ship RC range fan-in.
+    fn validated(self) -> Self {
+        assert!(
+            !matches!(self, ChannelMode::ReliableCast { dedup: false }),
+            "ReliableCast {{ dedup: false }} is no longer supported"
+        );
+        self
     }
 }
 
 impl std::fmt::Display for ChannelMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ChannelMode::ReliableCast { dedup: false } => write!(f, "IRMC-RC"),
-            ChannelMode::ReliableCast { dedup: true } => write!(f, "IRMC-RC-dedup"),
+            ChannelMode::ReliableCast { .. } => write!(f, "IRMC-RC"),
             ChannelMode::SenderCast { .. } => write!(f, "IRMC-SC"),
         }
     }
@@ -98,7 +54,7 @@ impl std::fmt::Display for ChannelMode {
 /// Static parameters of one IRMC.
 #[derive(Debug, Clone)]
 pub struct IrmcConfig {
-    /// Delivery mode (variant + its performance lever).
+    /// Delivery mode (RC or SC, plus its performance lever).
     pub mode: ChannelMode,
     /// Number of sender endpoints.
     pub n_senders: usize,
@@ -129,7 +85,7 @@ pub struct IrmcConfig {
     pub refetch_delay: SimTime,
     /// Maximum slots per range certificate
     /// ([`crate::SenderEndpoint::send_batch`] chunks longer submissions).
-    /// 1 disables range certification entirely (always the legacy
+    /// 1 disables range certification entirely (always the
     /// per-slot wire messages).
     pub max_range: usize,
     /// Optional linger for [`crate::SenderEndpoint::send_buffered`]:
@@ -152,9 +108,9 @@ impl IrmcConfig {
     /// # Panics
     ///
     /// Panics unless `n_senders > fs`, `n_receivers > fr`, and
-    /// `capacity >= 1`.
+    /// `capacity >= 1`, or if `mode` is `ReliableCast { dedup: false }`.
     pub fn new(
-        mode: impl Into<ChannelMode>,
+        mode: ChannelMode,
         n_senders: usize,
         fs: usize,
         n_receivers: usize,
@@ -165,7 +121,7 @@ impl IrmcConfig {
         assert!(n_receivers > fr, "need more receivers than faults");
         assert!(capacity >= 1, "capacity must be at least 1");
         IrmcConfig {
-            mode: mode.into(),
+            mode: mode.validated(),
             n_senders,
             fs,
             n_receivers,
@@ -226,38 +182,20 @@ impl IrmcConfig {
         self
     }
 
-    /// Replaces the delivery mode (builder-style). Accepts a
-    /// [`ChannelMode`] or a bare [`Variant`] (legacy-faithful mapping).
+    /// Replaces the delivery mode (builder-style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mode` is `ReliableCast { dedup: false }`.
     #[must_use]
-    pub fn with_mode(mut self, mode: impl Into<ChannelMode>) -> Self {
-        self.mode = mode.into();
+    pub fn with_mode(mut self, mode: ChannelMode) -> Self {
+        self.mode = mode.validated();
         self
-    }
-
-    /// The underlying IRMC variant (for labels and dispatch).
-    pub fn variant(&self) -> Variant {
-        self.mode.variant()
-    }
-
-    /// Whether the RC digest-only fan-in is active.
-    pub fn dedup(&self) -> bool {
-        self.mode.dedup()
     }
 
     /// Whether the SC §A.9 content/share-exchange overlap is active.
     pub fn sc_overlap(&self) -> bool {
-        self.mode.overlap()
-    }
-
-    /// Enables or disables the §A.9 content/share-exchange overlap for
-    /// IRMC-SC (builder-style).
-    #[deprecated(note = "use `with_mode(ChannelMode::SenderCast { overlap })`")]
-    #[must_use]
-    pub fn with_sc_overlap(mut self, overlap: bool) -> Self {
-        if let ChannelMode::SenderCast { .. } = self.mode {
-            self.mode = ChannelMode::SenderCast { overlap };
-        }
-        self
+        matches!(self.mode, ChannelMode::SenderCast { overlap: true })
     }
 
     /// Replaces the SC collector supervision timing (builder-style).
@@ -277,9 +215,12 @@ impl IrmcConfig {
 mod tests {
     use super::*;
 
+    const RC: ChannelMode = ChannelMode::ReliableCast { dedup: true };
+    const SC: ChannelMode = ChannelMode::SenderCast { overlap: true };
+
     #[test]
     fn valid_config_builds() {
-        let c = IrmcConfig::new(Variant::ReceiverCollect, 3, 1, 4, 1, 2);
+        let c = IrmcConfig::new(RC, 3, 1, 4, 1, 2);
         assert_eq!(c.n_senders, 3);
         assert_eq!(c.capacity, 2);
     }
@@ -287,36 +228,37 @@ mod tests {
     #[test]
     #[should_panic(expected = "more senders than faults")]
     fn too_few_senders_rejected() {
-        let _ = IrmcConfig::new(Variant::ReceiverCollect, 1, 1, 3, 1, 2);
+        let _ = IrmcConfig::new(RC, 1, 1, 3, 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "dedup: false")]
+    fn all_ship_rc_range_fan_in_rejected() {
+        let _ = IrmcConfig::new(ChannelMode::ReliableCast { dedup: false }, 3, 1, 3, 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "dedup: false")]
+    fn all_ship_rc_range_fan_in_rejected_by_builder() {
+        let _ = IrmcConfig::new(SC, 3, 1, 3, 1, 2)
+            .with_mode(ChannelMode::ReliableCast { dedup: false });
     }
 
     #[test]
     fn display_names_match_paper() {
-        assert_eq!(Variant::ReceiverCollect.to_string(), "IRMC-RC");
-        assert_eq!(Variant::SenderCollect.to_string(), "IRMC-SC");
-        assert_eq!(ChannelMode::ReliableCast { dedup: true }.to_string(), "IRMC-RC-dedup");
+        assert_eq!(RC.to_string(), "IRMC-RC");
+        assert_eq!(SC.to_string(), "IRMC-SC");
         assert_eq!(ChannelMode::SenderCast { overlap: false }.to_string(), "IRMC-SC");
     }
 
     #[test]
-    fn variants_map_to_legacy_faithful_modes() {
-        let rc = IrmcConfig::new(Variant::ReceiverCollect, 3, 1, 3, 1, 2);
-        assert_eq!(rc.mode, ChannelMode::ReliableCast { dedup: false });
-        assert!(!rc.dedup());
-        let sc = IrmcConfig::new(Variant::SenderCollect, 3, 1, 3, 1, 2);
-        assert_eq!(sc.mode, ChannelMode::SenderCast { overlap: true });
-        assert!(sc.sc_overlap(), "§A.9 overlap stays the SC default");
-    }
-
-    #[test]
     fn mode_builder_replaces_flag_sprawl() {
-        let c = IrmcConfig::new(Variant::ReceiverCollect, 3, 1, 3, 1, 2)
-            .with_mode(ChannelMode::ReliableCast { dedup: true });
-        assert!(c.dedup());
-        assert_eq!(c.variant(), Variant::ReceiverCollect);
+        let c = IrmcConfig::new(SC, 3, 1, 3, 1, 2).with_mode(RC);
+        assert_eq!(c.mode, RC);
         assert!(!c.sc_overlap(), "overlap is an SC-only lever");
-        #[allow(deprecated)]
-        let sc = IrmcConfig::new(Variant::SenderCollect, 3, 1, 3, 1, 2).with_sc_overlap(false);
-        assert_eq!(sc.mode, ChannelMode::SenderCast { overlap: false });
+        let sc = IrmcConfig::new(RC, 3, 1, 3, 1, 2)
+            .with_mode(ChannelMode::SenderCast { overlap: false });
+        assert!(!sc.sc_overlap());
+        assert!(IrmcConfig::new(SC, 3, 1, 3, 1, 2).sc_overlap());
     }
 }

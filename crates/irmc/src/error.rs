@@ -35,7 +35,7 @@ pub enum IrmcError {
         /// Claimed slot count.
         count: u64,
     },
-    /// The frame belongs to the other IRMC variant (RC vs SC): the peer
+    /// The frame belongs to the other IRMC mode (RC vs SC): the peer
     /// disagrees about the channel configuration.
     WrongVariant,
     /// A group-internal frame (e.g. a signature share) arrived at an

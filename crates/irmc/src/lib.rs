@@ -21,13 +21,13 @@
 //!
 //! * [`ChannelMode::ReliableCast`] (**IRMC-RC**, Fig 18): every sender
 //!   submits directly to every receiver; receivers individually collect
-//!   `fs + 1` matching submissions. With `dedup: true` the redundant
-//!   copies are *digest-only*: a deterministically rotated primary
-//!   carrier ships the one signed content copy while the other senders
-//!   confirm the range with a MAC-authenticated [`ChannelMsg::RangeVouch`]
-//!   — content crosses the wire and gets hashed at most once per range on
-//!   the happy path, and a receiver whose carrier stalls refetches the
-//!   content from any voucher.
+//!   `fs + 1` matching submissions. For ranges the redundant copies are
+//!   *digest-only*: a deterministically rotated primary carrier ships the
+//!   one signed content copy while the other senders confirm the range
+//!   with a MAC-authenticated [`ChannelMsg::RangeVouch`] — content crosses
+//!   the wire and gets hashed at most once per range on the happy path,
+//!   and a receiver whose carrier stalls refetches the content from any
+//!   voucher.
 //! * [`ChannelMode::SenderCast`] (**IRMC-SC**, Figs 19–20): senders
 //!   exchange signature shares inside their region; one *collector* per
 //!   receiver assembles a `Certificate` and ships a single WAN message.
@@ -35,12 +35,14 @@
 //!   soon as it is submitted and follows up with a compact shares-only
 //!   certificate.
 //!
-//! Both variants support **multi-slot range certification**
+//! Both modes support **multi-slot range certification**
 //! ([`SenderEndpoint::send_batch`]): a contiguous slot run is certified by
 //! **one** RSA signature over the Merkle root of the per-slot digests
 //! ([`spider_crypto::merkle`]), amortizing the dominant per-slot CPU cost
-//! of a loaded commit channel. A range of length 1 degenerates to the
-//! legacy per-slot wire messages, so mixed configurations interoperate.
+//! of a loaded commit channel. A single slot travels as a per-slot wire
+//! message (`Send` or `Certificate`) instead: a one-leaf Merkle tree buys
+//! nothing, and every client request crosses its request channel that
+//! way.
 //!
 //! Endpoints are sans-IO state machines: methods append [`Action`]s
 //! (messages to peers, CPU charges, readiness events, timer requests) to a
@@ -50,7 +52,7 @@
 //!
 //! # Examples
 //!
-//! Passing a batch across a 4-sender/3-receiver dedup channel (the shape
+//! Passing a batch across a 4-sender/3-receiver IRMC-RC channel (the shape
 //! of a commit channel with `fa = 1`, `fe = 1`):
 //!
 //! ```
@@ -77,8 +79,8 @@
 //! let mut receiver: ReceiverEndpoint<Op> = ReceiverEndpoint::new(cfg, 0, ring);
 //!
 //! // Every sender submits the same two-slot batch for subchannel 0.
-//! // Under dedup, one rotated carrier ships the signed content; the
-//! // other three send digest-only vouches.
+//! // One rotated carrier ships the signed content; the other three send
+//! // digest-only vouches.
 //! let mut follow_up = Vec::new();
 //! for (i, s) in senders.iter_mut().enumerate() {
 //!     let mut actions = Vec::new();
@@ -137,7 +139,7 @@ pub(crate) mod tests_support {
     }
 }
 
-pub use config::{ChannelMode, IrmcConfig, Variant};
+pub use config::{ChannelMode, IrmcConfig};
 pub use error::IrmcError;
 pub use messages::{range_digest, slot_digest, ChannelMsg, ReceiverMsg};
 pub use receiver::{DedupOutcome, Delivery, ReceiveResult, ReceiverEndpoint};

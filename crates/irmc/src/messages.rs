@@ -12,26 +12,26 @@
 //! [`range_digest`] over the contiguous slot range `[first, first +
 //! count)`.
 //!
-//! * [`ChannelMsg::SendRange`] — IRMC-RC: one signed copy of the whole
-//!   range (the N-slot analogue of `Send`).
+//! * [`ChannelMsg::SendRange`] — IRMC-RC: the rotated carrier's one
+//!   signed copy of the whole range (the N-slot analogue of `Send`).
 //! * [`ChannelMsg::RangeShare`] — IRMC-SC: a signature share over the
 //!   range root exchanged inside the sender group (analogue of
 //!   `SigShare`; the content stays out of the LAN exchange).
-//! * [`ChannelMsg::RangeVouch`] — IRMC-RC dedup: a digest-only,
+//! * [`ChannelMsg::RangeVouch`] — IRMC-RC: a digest-only,
 //!   MAC-authenticated confirmation of a range; the rotated primary
 //!   carrier ships the one `SendRange` while everyone else vouches, so
 //!   redundancy costs a digest instead of a payload.
 //! * [`ChannelMsg::RangeContent`] — IRMC-SC: the collector ships the raw
 //!   range content to its receivers **before** shares arrive (§A.9
 //!   overlap). Carries no proof; receivers buffer it and deliver nothing
-//!   until a certificate covers it. IRMC-RC dedup reuses it as the
+//!   until a certificate covers it. IRMC-RC reuses it as the
 //!   answer to a receiver's [`ReceiverMsg::FetchRange`].
 //! * [`ChannelMsg::RangeCertificate`] — IRMC-SC: the compact shares-only
 //!   certificate (root + `fs + 1` signatures); the content is *not*
 //!   re-shipped.
 //!
-//! A range of length 1 is never emitted: senders degrade to the legacy
-//! per-slot messages so old and new endpoints interoperate byte-for-byte.
+//! A range of length 1 is never emitted: a single slot travels as the
+//! per-slot message, which needs no Merkle tree.
 //! Range payloads are shared via [`Arc`] so multi-receiver fan-out and
 //! SC re-shipping clone a pointer, not the content.
 
@@ -105,7 +105,7 @@ pub enum ChannelMsg<M> {
         /// Signature over `range_digest(sc, first, count, root)`.
         sig: Signature,
     },
-    /// Digest-only range confirmation (IRMC-RC dedup): the statement that
+    /// Digest-only range confirmation (IRMC-RC): the statement that
     /// this sender submitted a range hashing to `root`, without shipping
     /// the content. The deterministically-rotated carrier ships the one
     /// [`Self::SendRange`]; every other sender ships this instead, so
@@ -125,11 +125,11 @@ pub enum ChannelMsg<M> {
         root: Digest,
     },
     /// Raw range content. IRMC-SC: shipped by the collector ahead of
-    /// certification (§A.9 overlap). IRMC-RC dedup: a voucher's answer to
+    /// certification (§A.9 overlap). IRMC-RC: a voucher's answer to
     /// [`ReceiverMsg::FetchRange`] when the primary carrier stalls.
     /// Authenticated by the transport MAC only; never deliverable without
     /// a matching [`Self::RangeCertificate`] (SC) or vouch quorum whose
-    /// root the content hashes to (RC dedup).
+    /// root the content hashes to (RC).
     RangeContent {
         /// Subchannel.
         sc: Subchannel,
@@ -249,7 +249,7 @@ pub enum ReceiverMsg {
         /// Chosen collector (sender index).
         collector: usize,
     },
-    /// IRMC-RC dedup: ask a voucher to ship the content of a range whose
+    /// IRMC-RC: ask a voucher to ship the content of a range whose
     /// vouch quorum formed but whose primary carrier has not delivered.
     /// The voucher answers with [`ChannelMsg::RangeContent`].
     FetchRange {
@@ -276,7 +276,7 @@ impl WireSize for ReceiverMsg {
     }
 }
 
-/// Deterministically rotates the primary content carrier of a dedup
+/// Deterministically rotates the primary content carrier of an IRMC-RC
 /// range across the sender group: a bit-mixed hash (splitmix64
 /// finalizer) of `(sc, first)` modulo `n_senders`.
 ///

@@ -7,11 +7,14 @@
 //! whole contiguous slot range — the receiver recomputes the Merkle root
 //! over the per-slot content digests and accepts or rejects the range as
 //! a unit (a single tampered slot invalidates the root, so nothing from
-//! the range delivers). For IRMC-SC the raw content may arrive ahead of
-//! its certificate (§A.9 overlap, [`ChannelMsg::RangeContent`]); it is
-//! buffered and **never** delivered until a valid certificate covers it.
+//! the range delivers). For IRMC-RC the carrier's signed range counts as
+//! one statement, and the other senders' digest-only
+//! [`ChannelMsg::RangeVouch`]es complete the `fs + 1` quorum. For IRMC-SC
+//! the raw content may arrive ahead of its certificate (§A.9 overlap,
+//! [`ChannelMsg::RangeContent`]); it is buffered and **never** delivered
+//! until a valid certificate covers it.
 
-use crate::config::{IrmcConfig, Variant};
+use crate::config::{ChannelMode, IrmcConfig};
 use crate::messages::{range_digest, slot_digest, ChannelMsg, ReceiverMsg};
 use crate::window::Window;
 use crate::{Action, Content, IrmcError, Subchannel};
@@ -23,14 +26,14 @@ use std::sync::Arc;
 /// How the content of a delivered slot reached this receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DedupOutcome {
-    /// Legacy fan-in: IRMC-RC quorum of full content copies, or an
-    /// IRMC-SC certified delivery. No deduplication was in play.
+    /// Per-slot fan-in: IRMC-RC quorum of full per-slot content copies,
+    /// or an IRMC-SC certified delivery. No deduplication was in play.
     Replicated,
-    /// RC dedup happy path: the rotated primary carrier's signed content
+    /// RC range happy path: the rotated primary carrier's signed content
     /// copy, confirmed by the vouch quorum (content crossed the wire and
     /// was hashed exactly once).
     Primary,
-    /// RC dedup fallback: raw content shipped by a voucher (after a
+    /// RC range fallback: raw content shipped by a voucher (after a
     /// [`ReceiverMsg::FetchRange`], or an unsolicited early copy),
     /// verified by comparison against the vouched Merkle root.
     Refetched,
@@ -76,7 +79,7 @@ impl<M> ReceiveResult<M> {
 }
 
 /// Range content that cannot deliver yet: SC content ahead of its
-/// certificate (§A.9 overlap), or RC-dedup content ahead of its vouch
+/// certificate (§A.9 overlap), or RC range content ahead of its vouch
 /// quorum.
 #[derive(Debug)]
 struct PendingContent<M> {
@@ -86,7 +89,7 @@ struct PendingContent<M> {
     msgs: Arc<Vec<M>>,
     root: Digest,
     /// Provenance to attach on delivery ([`DedupOutcome::Replicated`]
-    /// for SC, `Primary`/`Refetched` for RC dedup).
+    /// for SC, `Primary`/`Refetched` for RC ranges).
     outcome: DedupOutcome,
 }
 
@@ -95,12 +98,12 @@ struct ReceiverSub<M> {
     awin: Window,
     /// RC: per position, per sender: (content digest, message).
     rc_slots: BTreeMap<u64, BTreeMap<usize, (Digest, M)>>,
-    /// RC dedup: per range first position, per sender: the vouched
+    /// RC: per range first position, per sender: the vouched
     /// statement (count, Merkle root). A verified `SendRange` registers
     /// as its sender's statement too, so the carrier counts toward the
     /// quorum. First statement per sender wins (no equivocation).
     vouches: BTreeMap<u64, BTreeMap<usize, (u32, Digest)>>,
-    /// RC dedup: round-robin cursor over the vouchers of a stalled range,
+    /// RC: round-robin cursor over the vouchers of a stalled range,
     /// so successive refetches try different senders.
     fetch_cursor: BTreeMap<u64, usize>,
     /// Deliverable content per position, with the index of the sender
@@ -181,7 +184,7 @@ pub struct ReceiverEndpoint<M> {
     me: usize,
     keyring: Keyring,
     subs: BTreeMap<Subchannel, ReceiverSub<M>>,
-    /// RC dedup: range digests whose carrier signature already verified,
+    /// RC: range digests whose carrier signature already verified,
     /// so a retransmitted content copy is accepted by root comparison
     /// (one Merkle recompute, no second RSA verification). Keyed by the
     /// full [`range_digest`] — which binds `(sc, first, count, root)` —
@@ -307,7 +310,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         sig: Signature,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        if self.cfg.variant() != Variant::ReceiverCollect {
+        if let ChannelMode::SenderCast { .. } = self.cfg.mode {
             return Err(IrmcError::WrongVariant);
         }
         let Some(&key) = self.cfg.sender_keys.get(from) else {
@@ -326,10 +329,11 @@ impl<M: Content> ReceiverEndpoint<M> {
         self.credit_rc_slot(from, sc, p, digest, msg, out)
     }
 
-    /// One signature verification covers the whole range; each member slot
-    /// is then credited to the sender exactly like a legacy `Send`, so
-    /// ranged and single-slot senders converge on the same per-slot
-    /// quorums (mixed configurations interoperate).
+    /// Signed content from the (claimed) primary carrier of a range. The
+    /// content is hashed exactly once; the signature is skipped when this
+    /// exact range digest already verified (a retransmission —
+    /// [`RootCache`]). The verified statement counts as its sender's
+    /// vouch, so the carrier participates in the quorum.
     fn on_send_range(
         &mut self,
         from: usize,
@@ -339,7 +343,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         sig: Signature,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        if self.cfg.variant() != Variant::ReceiverCollect {
+        if let ChannelMode::SenderCast { .. } = self.cfg.mode {
             return Err(IrmcError::WrongVariant);
         }
         let count = msgs.len();
@@ -350,56 +354,6 @@ impl<M: Content> ReceiverEndpoint<M> {
         let Some(&key) = self.cfg.sender_keys.get(from) else {
             return Err(IrmcError::UnknownEndpoint { index: from });
         };
-        if self.cfg.dedup() {
-            return self.on_dedup_send_range(from, sc, first, msgs, sig, out);
-        }
-        let bytes: usize = msgs.iter().map(|m| m.wire_size()).sum();
-        // Hash all payloads, rebuild the tree, verify ONE signature.
-        out.push(Action::Charge(
-            self.cfg.cost.hmac(bytes) + self.cfg.cost.merkle(count) + self.cfg.cost.rsa_verify(),
-            "range_verify",
-        ));
-        let leaves: Vec<Digest> = msgs.iter().map(|m| m.digest()).collect();
-        let root = merkle_root(&leaves);
-        let rd = range_digest(sc, first, count as u32, &root);
-        if !self.keyring.verify(key, &rd, &sig) {
-            // Any tampered member slot lands here: reject whole.
-            return Err(IrmcError::BadSignature { sc, p: first });
-        }
-        let sub = self.sub(sc);
-        if first.0 >= sub.awin.end().0 + sub.awin.capacity() {
-            // Absurdly far above the window (memory guard).
-            return Err(IrmcError::OutOfWindow { sc, p: first });
-        }
-        for (i, (leaf, m)) in leaves.into_iter().zip(msgs.iter()).enumerate() {
-            let p = Position(first.0 + i as u64);
-            self.credit_rc_slot(from, sc, p, leaf, m.clone(), out)?;
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // IRMC-RC digest-only fan-in (dedup)
-    // ------------------------------------------------------------------
-
-    /// Signed content from the (claimed) primary carrier of a dedup
-    /// range. The content is hashed exactly once; the signature is
-    /// skipped when this exact range digest already verified (a
-    /// retransmission — [`RootCache`]). The verified statement counts as
-    /// its sender's vouch, so the carrier participates in the quorum.
-    fn on_dedup_send_range(
-        &mut self,
-        from: usize,
-        sc: Subchannel,
-        first: Position,
-        msgs: Arc<Vec<M>>,
-        sig: Signature,
-        out: &mut Vec<Action<M>>,
-    ) -> Result<(), IrmcError> {
-        let Some(&key) = self.cfg.sender_keys.get(from) else {
-            return Err(IrmcError::UnknownEndpoint { index: from });
-        };
-        let count = msgs.len();
         let bytes: usize = msgs.iter().map(|m| m.wire_size()).sum();
         {
             let sub = self.sub(sc);
@@ -439,14 +393,14 @@ impl<M: Content> ReceiverEndpoint<M> {
         let sub = self.sub(sc);
         sub.vouches.entry(first.0).or_default().entry(from).or_insert((count as u32, root));
         Self::buffer_content(sub, from, first.0, msgs.clone(), root, DedupOutcome::Primary);
-        self.try_deliver_dedup(sc, first.0, out);
+        self.try_deliver_range(sc, first.0, out);
         if !Self::range_delivered(self.sub(sc), first.0, count as u64) {
             // Not (yet) deliverable as a range — the other senders may
             // have cut their ranges at diverged boundaries, so this exact
             // statement might never quorate. The verified signature also
             // attests every member slot individually: credit them so
             // overlapping foreign statements can converge on per-slot
-            // quorums (the legacy `Send` path).
+            // quorums (the per-slot `Send` path).
             for (i, (leaf, m)) in leaves.iter().zip(msgs.iter()).enumerate() {
                 let _ = self.credit_rc_slot(
                     from,
@@ -472,7 +426,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         root: Digest,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        if self.cfg.variant() != Variant::ReceiverCollect || !self.cfg.dedup() {
+        if let ChannelMode::SenderCast { .. } = self.cfg.mode {
             return Err(IrmcError::WrongVariant);
         }
         if count < 2 || count as u64 > self.cfg.capacity {
@@ -492,7 +446,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             return Err(IrmcError::OutOfWindow { sc, p: first });
         }
         sub.vouches.entry(first.0).or_default().entry(from).or_insert((count, root));
-        self.try_deliver_dedup(sc, first.0, out);
+        self.try_deliver_range(sc, first.0, out);
         Ok(())
     }
 
@@ -558,7 +512,7 @@ impl<M: Content> ReceiverEndpoint<M> {
     /// Delivers range `first` once a vouch quorum AND a content copy
     /// hashing to the quorate root are both present (first arrival wins).
     /// A quorum without content arms the carrier-supervision timer.
-    fn try_deliver_dedup(&mut self, sc: Subchannel, first: u64, out: &mut Vec<Action<M>>) {
+    fn try_deliver_range(&mut self, sc: Subchannel, first: u64, out: &mut Vec<Action<M>>) {
         let fs = self.cfg.fs;
         let timeout = self.cfg.refetch_delay;
         let Some(sub) = self.subs.get_mut(&sc) else {
@@ -661,7 +615,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         shares: Vec<Signature>,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        if self.cfg.variant() != Variant::SenderCollect {
+        if let ChannelMode::ReliableCast { .. } = self.cfg.mode {
             return Err(IrmcError::WrongVariant);
         }
         // Verify transport MAC + every contained share.
@@ -707,7 +661,7 @@ impl<M: Content> ReceiverEndpoint<M> {
 
     /// Raw range content without proof. IRMC-SC: early-shipped content
     /// (§A.9 overlap) — hash it, remember it, but deliver **nothing**
-    /// until a valid certificate covers its root. IRMC-RC dedup: a
+    /// until a valid certificate covers its root. IRMC-RC: a
     /// voucher's (re)shipped copy — hash it once and deliver iff it
     /// matches the vouch quorum's root.
     fn on_range_content(
@@ -718,16 +672,13 @@ impl<M: Content> ReceiverEndpoint<M> {
         msgs: Arc<Vec<M>>,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        let dedup = self.cfg.variant() == Variant::ReceiverCollect && self.cfg.dedup();
-        if self.cfg.variant() != Variant::SenderCollect && !dedup {
-            return Err(IrmcError::WrongVariant);
-        }
+        let rc = matches!(self.cfg.mode, ChannelMode::ReliableCast { .. });
         let count = msgs.len();
         if count < 2 || count as u64 > self.cfg.capacity {
             return Err(IrmcError::MalformedRange { sc, first, count: count as u64 });
         }
         let bytes: usize = msgs.iter().map(|m| m.wire_size()).sum();
-        if dedup {
+        if rc {
             let sub = self.sub(sc);
             if Self::range_delivered(sub, first.0, count as u64) {
                 // Late duplicate or already-delivered range: drop after
@@ -746,7 +697,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         ));
         let leaves: Vec<Digest> = msgs.iter().map(|m| m.digest()).collect();
         let root = merkle_root(&leaves);
-        if dedup {
+        if rc {
             let fs = self.cfg.fs;
             let sub = self.sub(sc);
             if let Some((qc, qroot)) = Self::quorate_statement(sub, fs, first.0) {
@@ -767,7 +718,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             Self::buffer_content(sub, from, first.0, msgs.clone(), root, DedupOutcome::Refetched);
             if own == Some((count as u32, root)) {
                 // The copy matches `from`'s own vouched statement: it is a
-                // per-slot attestation by `from`, exactly like a legacy
+                // per-slot attestation by `from`, exactly like a per-slot
                 // `Send` — credit each slot so overlapping statements
                 // converge on per-slot quorums despite diverged cuts.
                 for (i, (leaf, m)) in leaves.iter().zip(msgs.iter()).enumerate() {
@@ -819,7 +770,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         shares: Vec<Signature>,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        if self.cfg.variant() != Variant::SenderCollect {
+        if let ChannelMode::ReliableCast { .. } = self.cfg.mode {
             return Err(IrmcError::WrongVariant);
         }
         if count < 2 || count as u64 > self.cfg.capacity {
@@ -899,7 +850,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         positions: Vec<(Subchannel, Position)>,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        if self.cfg.variant() != Variant::SenderCollect {
+        if let ChannelMode::ReliableCast { .. } = self.cfg.mode {
             return Err(IrmcError::WrongVariant);
         }
         out.push(Action::Charge(self.cfg.cost.hmac(positions.len() * 16), "progress_mac"));
@@ -971,7 +922,7 @@ impl<M: Content> ReceiverEndpoint<M> {
 
     /// Handles the supervision timer for subchannel `token`: collector
     /// supervision for IRMC-SC (Fig 20 L30-35), carrier supervision for
-    /// RC dedup.
+    /// IRMC-RC ranges.
     ///
     /// `Err(CarrierTimeout)` reports that a vouch-quorate range's content
     /// never arrived and a refetch was issued — informational (the
@@ -982,13 +933,12 @@ impl<M: Content> ReceiverEndpoint<M> {
         _now: SimTime,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        match self.cfg.variant() {
-            Variant::SenderCollect => {
+        match self.cfg.mode {
+            ChannelMode::SenderCast { .. } => {
                 self.on_sc_timer(token, out);
                 Ok(())
             }
-            Variant::ReceiverCollect if self.cfg.dedup() => self.on_dedup_timer(token, out),
-            Variant::ReceiverCollect => Ok(()),
+            ChannelMode::ReliableCast { .. } => self.on_rc_timer(token, out),
         }
     }
 
@@ -1019,10 +969,10 @@ impl<M: Content> ReceiverEndpoint<M> {
         out.push(Action::SetTimer { token: sc, delay: timeout });
     }
 
-    /// RC dedup carrier supervision: for every vouch-quorate range whose
+    /// IRMC-RC carrier supervision: for every vouch-quorate range whose
     /// content still has not arrived, ask the next voucher (round-robin)
     /// to ship it, then re-arm.
-    fn on_dedup_timer(&mut self, token: u64, out: &mut Vec<Action<M>>) -> Result<(), IrmcError> {
+    fn on_rc_timer(&mut self, token: u64, out: &mut Vec<Action<M>>) -> Result<(), IrmcError> {
         let sc = token;
         let fs = self.cfg.fs;
         let timeout = self.cfg.refetch_delay;
@@ -1107,18 +1057,20 @@ mod tests {
     use spider_crypto::CostModel;
     use spider_crypto::Digestible as _;
 
-    fn cfg(variant: Variant) -> IrmcConfig {
-        IrmcConfig::new(variant, 3, 1, 3, 1, 8).with_cost(CostModel::zero())
+    const RC: ChannelMode = ChannelMode::ReliableCast { dedup: true };
+    const SC: ChannelMode = ChannelMode::SenderCast { overlap: true };
+
+    fn cfg(mode: ChannelMode) -> IrmcConfig {
+        IrmcConfig::new(mode, 3, 1, 3, 1, 8).with_cost(CostModel::zero())
     }
 
     fn rc_receiver() -> ReceiverEndpoint<Blob> {
-        ReceiverEndpoint::new(cfg(Variant::ReceiverCollect), 0, Keyring::new(5))
+        ReceiverEndpoint::new(cfg(RC), 0, Keyring::new(5))
     }
 
     /// Produces the signed `Send` a correct sender would emit.
     fn send_from(idx: usize, sc: Subchannel, p: Position, m: &Blob) -> ChannelMsg<Blob> {
-        let mut s: SenderEndpoint<Blob> =
-            SenderEndpoint::new(cfg(Variant::ReceiverCollect), idx, Keyring::new(5));
+        let mut s: SenderEndpoint<Blob> = SenderEndpoint::new(cfg(RC), idx, Keyring::new(5));
         let mut out = Vec::new();
         s.send_batch(sc, p, vec![m.clone()], &mut out);
         out.into_iter()
@@ -1129,23 +1081,19 @@ mod tests {
             .expect("send emitted")
     }
 
-    /// Produces the signed `SendRange` a correct sender would emit.
+    /// A `SendRange` signed by sender `idx`. Correct senders only emit
+    /// one from the range's rotated carrier, but a receiver takes a signed
+    /// range from any sender as that sender's statement.
     fn range_from(
         idx: usize,
         sc: Subchannel,
         first: Position,
         msgs: Vec<Blob>,
     ) -> ChannelMsg<Blob> {
-        let mut s: SenderEndpoint<Blob> =
-            SenderEndpoint::new(cfg(Variant::ReceiverCollect), idx, Keyring::new(5));
-        let mut out = Vec::new();
-        s.send_batch(sc, first, msgs, &mut out);
-        out.into_iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: m @ ChannelMsg::SendRange { .. } } => Some(m),
-                _ => None,
-            })
-            .expect("range emitted")
+        let leaves: Vec<Digest> = msgs.iter().map(|m| m.digest()).collect();
+        let rd = range_digest(sc, first, msgs.len() as u32, &merkle_root(&leaves));
+        let sig = Keyring::new(5).sign(spider_crypto::KeyId(1000 + idx as u32), &rd);
+        ChannelMsg::SendRange { sc, first, msgs: Arc::new(msgs), sig }
     }
 
     fn blobs(first: u64, n: u64) -> Vec<Blob> {
@@ -1264,8 +1212,7 @@ mod tests {
     #[test]
     fn sc_certificate_with_too_few_valid_shares_rejected() {
         let ring = Keyring::new(5);
-        let mut r: ReceiverEndpoint<Blob> =
-            ReceiverEndpoint::new(cfg(Variant::SenderCollect), 0, ring.clone());
+        let mut r: ReceiverEndpoint<Blob> = ReceiverEndpoint::new(cfg(SC), 0, ring.clone());
         let m = Blob::new(b"v");
         let d = m.digest();
         let slot = slot_digest(0, Position(1), &d);
@@ -1304,8 +1251,7 @@ mod tests {
     #[test]
     fn sc_progress_without_certificates_arms_timer_and_switches_collector() {
         let ring = Keyring::new(5);
-        let mut r: ReceiverEndpoint<Blob> =
-            ReceiverEndpoint::new(cfg(Variant::SenderCollect), 0, ring);
+        let mut r: ReceiverEndpoint<Blob> = ReceiverEndpoint::new(cfg(SC), 0, ring);
         assert_eq!(r.collector(0), 0);
         let mut out = Vec::new();
         // fs + 1 = 2 senders claim position 4 is certified.
@@ -1366,8 +1312,8 @@ mod tests {
 
     #[test]
     fn rc_range_and_single_sends_share_slot_quorums() {
-        // One sender ships a range, another ships a matching single slot:
-        // the per-slot quorum must combine them (mixed configurations).
+        // One sender ships a range, another ships a matching single slot
+        // (boundaries diverged): the per-slot quorum must combine them.
         let mut r = rc_receiver();
         let msgs = blobs(1, 3);
         let mut out = Vec::new();
@@ -1420,7 +1366,7 @@ mod tests {
 
     fn sc_pair() -> (SenderEndpoint<Blob>, SenderEndpoint<Blob>, ReceiverEndpoint<Blob>) {
         let ring = Keyring::new(5);
-        let c = cfg(Variant::SenderCollect);
+        let c = cfg(SC);
         (
             SenderEndpoint::new(c.clone(), 0, ring.clone()),
             SenderEndpoint::new(c.clone(), 1, ring.clone()),
@@ -1632,16 +1578,14 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // RC digest-only fan-in (dedup)
+    // RC digest-only range fan-in
     // ------------------------------------------------------------------
 
     use crate::messages::carrier_for;
-    use crate::ChannelMode;
     use spider_types::WireSize;
 
     fn dedup_cfg() -> IrmcConfig {
-        IrmcConfig::new(ChannelMode::ReliableCast { dedup: true }, 3, 1, 3, 1, 8)
-            .with_cost(CostModel::zero())
+        cfg(RC)
     }
 
     /// Everything sender `idx` ships to receiver 0 for this batch.
@@ -1914,8 +1858,8 @@ mod tests {
     }
 
     #[test]
-    fn dedup_vouch_in_legacy_mode_is_wrong_variant() {
-        let mut r = rc_receiver();
+    fn range_vouch_on_an_sc_channel_is_wrong_variant() {
+        let mut r: ReceiverEndpoint<Blob> = ReceiverEndpoint::new(cfg(SC), 0, Keyring::new(5));
         let mut out = Vec::new();
         let res = r.on_sender_message(
             SimTime::ZERO,

@@ -7,22 +7,22 @@
 //! digests (see [`crate::messages`]). For IRMC-SC the collector
 //! additionally overlaps WAN content shipping with the intra-region
 //! share exchange (§A.9): content ships as soon as it is submitted, the
-//! certificate follows shares-only. For IRMC-RC with
-//! [`crate::ChannelMode::ReliableCast`] `{ dedup: true }`, a
-//! deterministically-rotated primary carrier ships the one signed
-//! content copy while the other senders confirm the range with a
-//! digest-only [`ChannelMsg::RangeVouch`], and every sender retains the
-//! content to answer a receiver's [`ReceiverMsg::FetchRange`] should the
-//! carrier stall.
+//! certificate follows shares-only. For IRMC-RC a
+//! deterministically-rotated primary carrier ships the one signed range
+//! copy while the other senders confirm the range with a digest-only
+//! [`ChannelMsg::RangeVouch`], and every sender retains the content to
+//! answer a receiver's [`ReceiverMsg::FetchRange`] should the carrier
+//! stall. A single slot travels as the per-slot `Send` (RC) or
+//! `SigShare` (SC).
 //!
 //! Range boundaries must match across correct senders for SC shares to
 //! combine; callers therefore cut ranges at deterministic points (the
 //! agreement replicas use consensus batch boundaries). If boundaries
 //! still diverge (e.g. one replica replays after a checkpoint restore),
 //! [`SenderEndpoint::tick`] notices certification stalling and falls
-//! back to legacy per-slot shares, which match regardless of boundaries.
+//! back to per-slot shares, which match regardless of boundaries.
 
-use crate::config::{IrmcConfig, Variant};
+use crate::config::{ChannelMode, IrmcConfig};
 use crate::messages::{carrier_for, range_digest, slot_digest, ChannelMsg, ReceiverMsg};
 use crate::window::Window;
 use crate::{Action, Content, IrmcError, Subchannel};
@@ -31,7 +31,7 @@ use spider_types::{Position, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Result of a [`SenderEndpoint::send`] call.
+/// Result of a [`SenderEndpoint::send_batch`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendStatus {
     /// The message was transmitted (RC) or entered share collection (SC).
@@ -125,12 +125,12 @@ struct SenderSub<M> {
     my_move: Position,
     /// Sends above the window, waiting for a shift (keyed by first slot).
     /// Whole chunks queue atomically so their boundaries survive the wait
-    /// (SC shares only combine over identical ranges, and the RC dedup
+    /// (SC shares only combine over identical ranges, and the RC
     /// carrier rotation keys on the chunk's first position).
     blocked: BTreeMap<u64, Vec<M>>,
     /// RC: ranges this endpoint submitted, retained (until the window
     /// moves past them) to answer a receiver's
-    /// [`ReceiverMsg::FetchRange`] when the dedup primary carrier
+    /// [`ReceiverMsg::FetchRange`] when the primary carrier
     /// stalls, and to re-cast when the window itself stalls (a healed
     /// partition may have eaten the original casts).
     rc_ranges: BTreeMap<u64, Arc<Vec<M>>>,
@@ -138,7 +138,7 @@ struct SenderSub<M> {
     /// share assembly and reshipping; RC retains single-slot sends here
     /// for the stalled-window re-cast.
     content: BTreeMap<u64, SlotContent<M>>,
-    /// SC: legacy per-slot signature shares, per position per sender.
+    /// SC: per-slot signature shares, per position per sender.
     shares: BTreeMap<u64, BTreeMap<usize, (Digest, Signature)>>,
     /// SC: assembled single-slot certificates (content shared for cheap
     /// multi-receiver fan-out).
@@ -299,17 +299,16 @@ impl<M: Content> SenderEndpoint<M> {
     }
 
     /// Submits a contiguous run of slots `[first, first + msgs.len())` in
-    /// one call — the single submission entry point (a batch of one *is*
-    /// the legacy `send`, byte-for-byte). Runs longer than
+    /// one call — the single submission entry point. Runs longer than
     /// [`IrmcConfig::max_range`] are chunked into Merkle ranges, each
     /// certified by one RSA signature (and one verification per receiver,
     /// per share for SC) instead of one per slot.
     ///
     /// Chunk boundaries are derived from `first`, so callers submitting
     /// identical runs produce identical ranges (required for SC share
-    /// matching and RC dedup carrier rotation). Chunks above the window
+    /// matching and RC carrier rotation). Chunks above the window
     /// queue atomically and flush on [`Action::Unblocked`]; a run of
-    /// length 1 degenerates to the legacy single-slot wire messages.
+    /// length 1 travels as the per-slot wire message.
     ///
     /// Returns `TooOld` if every slot is below the window, `Blocked` if
     /// nothing could be transmitted yet, `Sent` otherwise.
@@ -449,7 +448,7 @@ impl<M: Content> SenderEndpoint<M> {
                 Ok(())
             }
             ReceiverMsg::FetchRange { sc, first, count } => {
-                if !(self.cfg.variant() == Variant::ReceiverCollect && self.cfg.dedup()) {
+                if let ChannelMode::SenderCast { .. } = self.cfg.mode {
                     return Err(IrmcError::WrongVariant);
                 }
                 if count < 2 || count as u64 > self.cfg.capacity {
@@ -580,7 +579,7 @@ impl<M: Content> SenderEndpoint<M> {
         }
     }
 
-    /// Performs the variant-specific submission of in-window content.
+    /// Performs the mode-specific submission of one in-window slot.
     fn transmit(&mut self, sc: Subchannel, p: Position, msg: M, out: &mut Vec<Action<M>>) {
         let Some(key) = self.key_of_sender(self.me) else {
             return; // `new` validated `me`; unreachable without a bad cfg.
@@ -592,8 +591,8 @@ impl<M: Content> SenderEndpoint<M> {
             "slot_sign",
         ));
         let sig = self.keyring.sign(key, &digest);
-        match self.cfg.variant() {
-            Variant::ReceiverCollect => {
+        match self.cfg.mode {
+            ChannelMode::ReliableCast { .. } => {
                 // Retain the content until the window moves past it so a
                 // stalled window (healed partition) can be re-cast.
                 self.sub(sc).content.insert(p.0, SlotContent::Single(Arc::new(msg.clone())));
@@ -604,7 +603,7 @@ impl<M: Content> SenderEndpoint<M> {
                     });
                 }
             }
-            Variant::SenderCollect => {
+            ChannelMode::SenderCast { .. } => {
                 let me = self.me;
                 let content_digest = msg.digest();
                 let sub = self.sub(sc);
@@ -635,8 +634,7 @@ impl<M: Content> SenderEndpoint<M> {
     ) {
         match msgs.len() {
             0 => return,
-            // Length 1 degenerates to the legacy single-slot messages so
-            // mixed configurations stay byte-compatible.
+            // A single slot needs no Merkle tree: per-slot message.
             1 => return self.transmit(sc, Position(first), msgs.remove(0), out),
             _ => {}
         }
@@ -650,33 +648,11 @@ impl<M: Content> SenderEndpoint<M> {
             "range_hash",
         ));
         let msgs = Arc::new(msgs);
-        let mut shipped = vec![false; self.cfg.n_receivers];
-        if self.cfg.variant() == Variant::SenderCollect && self.cfg.sc_overlap() {
-            // §A.9: ship the raw content to the receivers this endpoint
-            // collects for *before* spending the signature — content
-            // carries no proof, so its WAN transfer overlaps both the
-            // local RSA signing and the share exchange. The compact
-            // shares-only certificate follows from maybe_bundle_range.
-            for (r, was_shipped) in shipped.iter_mut().enumerate() {
-                if self.collector_for(sc, r) == self.me {
-                    *was_shipped = true;
-                    out.push(Action::Charge(self.cfg.cost.hmac(bytes), "range_ship"));
-                    out.push(Action::ToReceiver {
-                        to: r,
-                        msg: ChannelMsg::RangeContent {
-                            sc,
-                            first: Position(first),
-                            msgs: msgs.clone(),
-                        },
-                    });
-                }
-            }
-        }
         let Some(key) = self.key_of_sender(self.me) else {
             return; // `new` validated `me`; unreachable without a bad cfg.
         };
         let rd = range_digest(sc, Position(first), count, &root);
-        if self.cfg.variant() == Variant::ReceiverCollect && self.cfg.dedup() {
+        if let ChannelMode::ReliableCast { .. } = self.cfg.mode {
             // Digest-only fan-in: only the rotated primary carrier signs
             // and ships the content; everyone else confirms the range with
             // a MAC-authenticated vouch, and everyone (carrier included)
@@ -713,58 +689,56 @@ impl<M: Content> SenderEndpoint<M> {
             }
             return;
         }
-        // One RSA signature for the whole range.
-        out.push(Action::Charge(self.cfg.cost.rsa_sign(), "range_sign"));
-        let sig = self.keyring.sign(key, &rd);
-        match self.cfg.variant() {
-            Variant::ReceiverCollect => {
-                // Retained for the stalled-window re-cast (see rc_ranges).
-                self.sub(sc).rc_ranges.insert(first, msgs.clone());
-                for r in 0..self.cfg.n_receivers {
+        // IRMC-SC: the range certifies through the sender group's shares.
+        let mut shipped = vec![false; self.cfg.n_receivers];
+        if self.cfg.sc_overlap() {
+            // §A.9: ship the raw content to the receivers this endpoint
+            // collects for *before* spending the signature — content
+            // carries no proof, so its WAN transfer overlaps both the
+            // local RSA signing and the share exchange. The compact
+            // shares-only certificate follows from maybe_bundle_range.
+            for (r, was_shipped) in shipped.iter_mut().enumerate() {
+                if self.collector_for(sc, r) == self.me {
+                    *was_shipped = true;
+                    out.push(Action::Charge(self.cfg.cost.hmac(bytes), "range_ship"));
                     out.push(Action::ToReceiver {
                         to: r,
-                        msg: ChannelMsg::SendRange {
+                        msg: ChannelMsg::RangeContent {
                             sc,
                             first: Position(first),
                             msgs: msgs.clone(),
-                            sig,
                         },
                     });
                 }
             }
-            Variant::SenderCollect => {
-                let me = self.me;
-                let sub = self.sub(sc);
-                for (i, _) in msgs.iter().enumerate() {
-                    sub.content.insert(
-                        first + i as u64,
-                        SlotContent::InRange { msgs: msgs.clone(), idx: i as u32 },
-                    );
-                }
-                sub.range_shares
-                    .entry((first, root))
-                    .or_insert_with(|| RangeShareSet { count, sigs: BTreeMap::new() })
-                    .sigs
-                    .insert(me, sig);
-                for s in 0..self.cfg.n_senders {
-                    if s != me {
-                        out.push(Action::ToPeerSender {
-                            to: s,
-                            msg: ChannelMsg::RangeShare {
-                                sc,
-                                first: Position(first),
-                                count,
-                                root,
-                                sig,
-                            },
-                        });
-                    }
-                }
-                let sub = self.sub(sc);
-                sub.ranges.insert(first, RangeInfo { msgs, root, shipped });
-                self.maybe_bundle_range(sc, first, root, out);
+        }
+        // One RSA signature share for the whole range.
+        out.push(Action::Charge(self.cfg.cost.rsa_sign(), "range_sign"));
+        let sig = self.keyring.sign(key, &rd);
+        let me = self.me;
+        let sub = self.sub(sc);
+        for (i, _) in msgs.iter().enumerate() {
+            sub.content.insert(
+                first + i as u64,
+                SlotContent::InRange { msgs: msgs.clone(), idx: i as u32 },
+            );
+        }
+        sub.range_shares
+            .entry((first, root))
+            .or_insert_with(|| RangeShareSet { count, sigs: BTreeMap::new() })
+            .sigs
+            .insert(me, sig);
+        for s in 0..self.cfg.n_senders {
+            if s != me {
+                out.push(Action::ToPeerSender {
+                    to: s,
+                    msg: ChannelMsg::RangeShare { sc, first: Position(first), count, root, sig },
+                });
             }
         }
+        let sub = self.sub(sc);
+        sub.ranges.insert(first, RangeInfo { msgs, root, shipped });
+        self.maybe_bundle_range(sc, first, root, out);
     }
 
     /// Handles an intra-group message from peer sender `from` (IRMC-SC).
@@ -784,7 +758,7 @@ impl<M: Content> SenderEndpoint<M> {
         if from == self.me {
             return Err(IrmcError::UnexpectedFrame);
         }
-        if self.cfg.variant() != Variant::SenderCollect {
+        if let ChannelMode::ReliableCast { .. } = self.cfg.mode {
             return Err(IrmcError::WrongVariant);
         }
         match msg {
@@ -977,7 +951,7 @@ impl<M: Content> SenderEndpoint<M> {
         }
     }
 
-    /// Periodic driver: flushes expired linger buffers (both variants) and,
+    /// Periodic tick: flushes expired linger buffers (both modes) and,
     /// for IRMC-SC, emits `Progress` announcements from the cached
     /// gap-free certified watermark (Fig 19 L26-30) and falls back to
     /// per-slot shares when range certification stalls (diverged range
@@ -994,7 +968,7 @@ impl<M: Content> SenderEndpoint<M> {
                 self.flush_pending(sc, out);
             }
         }
-        if self.cfg.variant() != Variant::SenderCollect {
+        if let ChannelMode::ReliableCast { .. } = self.cfg.mode {
             self.rc_recast_tick(out);
             return;
         }
@@ -1021,7 +995,7 @@ impl<M: Content> SenderEndpoint<M> {
 
     /// Liveness net for diverged range boundaries: when the certified
     /// watermark has not moved for two consecutive ticks while submitted
-    /// content sits uncertified, re-share the stalled slots with legacy
+    /// content sits uncertified, re-share the stalled slots with
     /// per-slot `SigShare`s — those match across senders regardless of
     /// how each cut its ranges.
     fn fallback_stalled(&mut self, out: &mut Vec<Action<M>>) {
@@ -1125,7 +1099,6 @@ impl<M: Content> SenderEndpoint<M> {
         let me = self.me;
         let n_senders = self.cfg.n_senders;
         let n_receivers = self.cfg.n_receivers;
-        let dedup = self.cfg.dedup();
         let sub = self.sub(sc);
         let start = sub.awin.start().0;
         let ranges: Vec<(u64, Arc<Vec<M>>)> = sub
@@ -1162,7 +1135,7 @@ impl<M: Content> SenderEndpoint<M> {
                 self.cfg.cost.hmac(bytes) + self.cfg.cost.merkle(count as usize),
                 crate::OP_RECAST,
             ));
-            if dedup && carrier_for(sc, Position(first), n_senders) != me {
+            if carrier_for(sc, Position(first), n_senders) != me {
                 // Not the carrier: repeat the digest-only vouch. The
                 // receiver's carrier-supervision timer escalates to a
                 // FetchRange against us if the carrier stays dark.
@@ -1272,17 +1245,36 @@ mod tests {
     use crate::tests_support::Blob;
     use spider_crypto::Digestible as _;
 
-    fn cfg(variant: Variant) -> IrmcConfig {
-        IrmcConfig::new(variant, 3, 1, 3, 1, 4).with_cost(spider_crypto::CostModel::zero())
+    const RC: ChannelMode = ChannelMode::ReliableCast { dedup: true };
+    const SC: ChannelMode = ChannelMode::SenderCast { overlap: true };
+
+    fn cfg(mode: ChannelMode) -> IrmcConfig {
+        IrmcConfig::new(mode, 3, 1, 3, 1, 4).with_cost(spider_crypto::CostModel::zero())
     }
 
-    fn sender(variant: Variant, me: usize) -> SenderEndpoint<Blob> {
-        SenderEndpoint::new(cfg(variant), me, Keyring::new(5))
+    fn sender(mode: ChannelMode, me: usize) -> SenderEndpoint<Blob> {
+        SenderEndpoint::new(cfg(mode), me, Keyring::new(5))
+    }
+
+    /// `(first, count)` of every RC range frame — the carrier's signed
+    /// `SendRange` or a voucher's `RangeVouch` — sent to receiver 0.
+    fn range_frames(out: &[Action<Blob>]) -> Vec<(u64, usize)> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::ToReceiver { to: 0, msg: ChannelMsg::SendRange { first, msgs, .. } } => {
+                    Some((first.0, msgs.len()))
+                }
+                Action::ToReceiver { to: 0, msg: ChannelMsg::RangeVouch { first, count, .. } } => {
+                    Some((first.0, *count as usize))
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
     fn rc_send_fans_out_to_all_receivers() {
-        let mut s = sender(Variant::ReceiverCollect, 0);
+        let mut s = sender(RC, 0);
         let mut out = Vec::new();
         let st = s.send_batch(7, Position(1), vec![Blob::new(b"m")], &mut out);
         assert_eq!(st, SendStatus::Sent);
@@ -1295,7 +1287,7 @@ mod tests {
 
     #[test]
     fn send_above_window_blocks_and_flushes_on_move() {
-        let mut s = sender(Variant::ReceiverCollect, 0);
+        let mut s = sender(RC, 0);
         let mut out = Vec::new();
         // Window is [1, 4]; position 6 must block.
         assert_eq!(
@@ -1319,7 +1311,7 @@ mod tests {
 
     #[test]
     fn send_below_window_reports_too_old() {
-        let mut s = sender(Variant::ReceiverCollect, 0);
+        let mut s = sender(RC, 0);
         let mut out = Vec::new();
         let _ = s.on_receiver_message(0, ReceiverMsg::Move { sc: 0, p: Position(5) }, &mut out);
         let _ = s.on_receiver_message(1, ReceiverMsg::Move { sc: 0, p: Position(5) }, &mut out);
@@ -1331,7 +1323,7 @@ mod tests {
 
     #[test]
     fn stale_receiver_moves_are_ignored() {
-        let mut s = sender(Variant::ReceiverCollect, 0);
+        let mut s = sender(RC, 0);
         let mut out = Vec::new();
         let _ = s.on_receiver_message(0, ReceiverMsg::Move { sc: 0, p: Position(5) }, &mut out);
         let _ = s.on_receiver_message(0, ReceiverMsg::Move { sc: 0, p: Position(2) }, &mut out);
@@ -1342,8 +1334,8 @@ mod tests {
     #[test]
     fn sc_send_exchanges_shares_then_certificate() {
         let ring = Keyring::new(5);
-        let mut s0 = SenderEndpoint::<Blob>::new(cfg(Variant::SenderCollect), 0, ring.clone());
-        let mut s1 = SenderEndpoint::<Blob>::new(cfg(Variant::SenderCollect), 1, ring.clone());
+        let mut s0 = SenderEndpoint::<Blob>::new(cfg(SC), 0, ring.clone());
+        let mut s1 = SenderEndpoint::<Blob>::new(cfg(SC), 1, ring.clone());
         let mut out0 = Vec::new();
         let mut out1 = Vec::new();
         let m = Blob::new(b"content");
@@ -1381,7 +1373,7 @@ mod tests {
     #[test]
     fn sc_mismatching_share_does_not_bundle() {
         let ring = Keyring::new(5);
-        let mut s0 = SenderEndpoint::<Blob>::new(cfg(Variant::SenderCollect), 0, ring.clone());
+        let mut s0 = SenderEndpoint::<Blob>::new(cfg(SC), 0, ring.clone());
         let mut out = Vec::new();
         s0.send_batch(0, Position(1), vec![Blob::new(b"good")], &mut out);
         out.clear();
@@ -1402,9 +1394,9 @@ mod tests {
     #[test]
     fn sc_select_reassigns_collector_and_reships() {
         let ring = Keyring::new(5);
-        let mut s1 = SenderEndpoint::<Blob>::new(cfg(Variant::SenderCollect), 1, ring.clone());
+        let mut s1 = SenderEndpoint::<Blob>::new(cfg(SC), 1, ring.clone());
         let mut s0_share_out = Vec::new();
-        let mut s0 = SenderEndpoint::<Blob>::new(cfg(Variant::SenderCollect), 0, ring.clone());
+        let mut s0 = SenderEndpoint::<Blob>::new(cfg(SC), 0, ring.clone());
         let m = Blob::new(b"c");
         s0.send_batch(0, Position(1), vec![m.clone()], &mut s0_share_out);
         let mut out = Vec::new();
@@ -1435,7 +1427,7 @@ mod tests {
     #[test]
     fn sc_tick_reports_gap_free_progress() {
         let ring = Keyring::new(5);
-        let c = cfg(Variant::SenderCollect);
+        let c = cfg(SC);
         let mut senders: Vec<SenderEndpoint<Blob>> =
             (0..3).map(|i| SenderEndpoint::new(c.clone(), i, ring.clone())).collect();
         // Certify positions 1 and 3 (gap at 2) on sender 0.
@@ -1478,8 +1470,8 @@ mod tests {
     // Range certification
     // ------------------------------------------------------------------
 
-    fn range_cfg(variant: Variant, capacity: u64, max_range: usize) -> IrmcConfig {
-        IrmcConfig::new(variant, 3, 1, 3, 1, capacity)
+    fn range_cfg(mode: ChannelMode, capacity: u64, max_range: usize) -> IrmcConfig {
+        IrmcConfig::new(mode, 3, 1, 3, 1, capacity)
             .with_cost(spider_crypto::CostModel::zero())
             .with_range(max_range, SimTime::ZERO)
     }
@@ -1490,8 +1482,9 @@ mod tests {
 
     #[test]
     fn rc_send_many_ships_one_signed_range_per_receiver() {
+        let carrier = carrier_for(0, Position(1), 3);
         let mut s: SenderEndpoint<Blob> =
-            SenderEndpoint::new(range_cfg(Variant::ReceiverCollect, 16, 8), 0, Keyring::new(5));
+            SenderEndpoint::new(range_cfg(RC, 16, 8), carrier, Keyring::new(5));
         let mut out = Vec::new();
         let st = s.send_batch(0, Position(1), blobs(1, 5), &mut out);
         assert_eq!(st, SendStatus::Sent);
@@ -1514,18 +1507,10 @@ mod tests {
     #[test]
     fn send_many_chunks_at_max_range() {
         let mut s: SenderEndpoint<Blob> =
-            SenderEndpoint::new(range_cfg(Variant::ReceiverCollect, 32, 4), 0, Keyring::new(5));
+            SenderEndpoint::new(range_cfg(RC, 32, 4), 0, Keyring::new(5));
         let mut out = Vec::new();
         s.send_batch(0, Position(1), blobs(1, 10), &mut out);
-        let mut firsts: Vec<(u64, usize)> = out
-            .iter()
-            .filter_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: ChannelMsg::SendRange { first, msgs, .. } } => {
-                    Some((first.0, msgs.len()))
-                }
-                _ => None,
-            })
-            .collect();
+        let mut firsts = range_frames(&out);
         firsts.sort_unstable();
         assert_eq!(firsts, vec![(1, 4), (5, 4), (9, 2)], "deterministic chunking from `first`");
     }
@@ -1533,8 +1518,7 @@ mod tests {
     #[test]
     fn singleton_batch_degenerates_to_legacy_per_slot_frame() {
         let ring = Keyring::new(5);
-        let c = range_cfg(Variant::ReceiverCollect, 16, 8);
-        let mut ep: SenderEndpoint<Blob> = SenderEndpoint::new(c, 0, ring);
+        let mut ep: SenderEndpoint<Blob> = SenderEndpoint::new(range_cfg(RC, 16, 8), 0, ring);
         let mut out = Vec::new();
         ep.send_batch(0, Position(1), vec![Blob::new(b"solo")], &mut out);
         assert!(
@@ -1544,19 +1528,35 @@ mod tests {
         );
     }
 
-    // ------------------------------------------------------------------
-    // RC digest-only fan-in (dedup)
-    // ------------------------------------------------------------------
-
-    fn dedup_cfg(capacity: u64, max_range: usize) -> IrmcConfig {
-        range_cfg(Variant::ReceiverCollect, capacity, max_range)
-            .with_mode(crate::ChannelMode::ReliableCast { dedup: true })
+    #[test]
+    fn dedup_off_and_singletons_stay_on_the_legacy_path() {
+        // `ReliableCast { dedup: false }` is rejected at construction
+        // (see the config tests). Singletons still ignore dedup: every
+        // sender ships its own signed per-slot `Send`, with no carrier
+        // election for a single slot.
+        let ring = Keyring::new(5);
+        for me in 0..3 {
+            let mut ep: SenderEndpoint<Blob> =
+                SenderEndpoint::new(range_cfg(RC, 16, 8), me, ring.clone());
+            let mut out = Vec::new();
+            ep.send_batch(0, Position(1), vec![Blob::new(b"solo")], &mut out);
+            let sends = out
+                .iter()
+                .filter(|a| matches!(a, Action::ToReceiver { msg: ChannelMsg::Send { .. }, .. }))
+                .count();
+            assert_eq!(sends, 3, "sender {me}: one per-slot frame per receiver");
+            assert!(range_frames(&out).is_empty(), "sender {me}: a singleton is not a range");
+        }
     }
+
+    // ------------------------------------------------------------------
+    // RC digest-only range fan-in
+    // ------------------------------------------------------------------
 
     #[test]
     fn dedup_carrier_ships_content_others_vouch() {
         let ring = Keyring::new(5);
-        let c = dedup_cfg(16, 8);
+        let c = range_cfg(RC, 16, 8);
         let msgs = blobs(1, 4);
         let carrier = carrier_for(0, Position(1), c.n_senders);
         for me in 0..c.n_senders {
@@ -1585,7 +1585,7 @@ mod tests {
     #[test]
     fn dedup_vouch_carries_the_carrier_root() {
         let ring = Keyring::new(5);
-        let c = dedup_cfg(16, 8);
+        let c = range_cfg(RC, 16, 8);
         let msgs = blobs(1, 4);
         let carrier = carrier_for(0, Position(1), c.n_senders);
         let voucher = (carrier + 1) % c.n_senders;
@@ -1604,7 +1604,7 @@ mod tests {
     #[test]
     fn dedup_voucher_serves_fetch_range() {
         let ring = Keyring::new(5);
-        let c = dedup_cfg(16, 8);
+        let c = range_cfg(RC, 16, 8);
         let carrier = carrier_for(0, Position(1), c.n_senders);
         let voucher = (carrier + 1) % c.n_senders;
         let mut s: SenderEndpoint<Blob> = SenderEndpoint::new(c, voucher, ring);
@@ -1640,41 +1640,9 @@ mod tests {
     }
 
     #[test]
-    fn dedup_off_and_singletons_stay_on_the_legacy_path() {
-        let ring = Keyring::new(5);
-        // dedup off: byte-identical to the legacy RC fan-out.
-        let mut legacy: SenderEndpoint<Blob> =
-            SenderEndpoint::new(range_cfg(Variant::ReceiverCollect, 16, 8), 0, ring.clone());
-        let mut off: SenderEndpoint<Blob> = SenderEndpoint::new(
-            range_cfg(Variant::ReceiverCollect, 16, 8)
-                .with_mode(crate::ChannelMode::ReliableCast { dedup: false }),
-            0,
-            ring.clone(),
-        );
-        let mut out_legacy = Vec::new();
-        let mut out_off = Vec::new();
-        legacy.send_batch(0, Position(1), blobs(1, 5), &mut out_legacy);
-        off.send_batch(0, Position(1), blobs(1, 5), &mut out_off);
-        assert_eq!(out_legacy, out_off, "dedup off is the legacy RC path, byte for byte");
-        // dedup on, range of 1: degenerates to the legacy single-slot
-        // frame on every sender (no carrier election for singletons).
-        for me in 0..3 {
-            let mut s: SenderEndpoint<Blob> =
-                SenderEndpoint::new(dedup_cfg(16, 8), me, ring.clone());
-            let mut legacy: SenderEndpoint<Blob> =
-                SenderEndpoint::new(range_cfg(Variant::ReceiverCollect, 16, 8), me, ring.clone());
-            let mut out_dedup = Vec::new();
-            let mut out_legacy = Vec::new();
-            s.send_batch(0, Position(1), vec![Blob::new(b"solo")], &mut out_dedup);
-            legacy.send_batch(0, Position(1), vec![Blob::new(b"solo")], &mut out_legacy);
-            assert_eq!(out_dedup, out_legacy, "sender {me}: singleton ignores dedup");
-        }
-    }
-
-    #[test]
     fn dedup_vouching_skips_the_signature_charge() {
         let ring = Keyring::new(5);
-        let c = dedup_cfg(16, 8).with_cost(spider_crypto::CostModel::default());
+        let c = range_cfg(RC, 16, 8).with_cost(spider_crypto::CostModel::default());
         let msgs = blobs(1, 8);
         let carrier = carrier_for(0, Position(1), c.n_senders);
         let voucher = (carrier + 1) % c.n_senders;
@@ -1706,7 +1674,7 @@ mod tests {
     #[test]
     fn blocked_range_flushes_atomically_after_window_move() {
         let mut s: SenderEndpoint<Blob> =
-            SenderEndpoint::new(range_cfg(Variant::ReceiverCollect, 4, 4), 0, Keyring::new(5));
+            SenderEndpoint::new(range_cfg(RC, 4, 4), 0, Keyring::new(5));
         let mut out = Vec::new();
         // Window [1,4]: the chunk 5..=8 must queue as a unit.
         let st = s.send_batch(0, Position(5), blobs(5, 4), &mut out);
@@ -1715,22 +1683,17 @@ mod tests {
         out.clear();
         let _ = s.on_receiver_message(0, ReceiverMsg::Move { sc: 0, p: Position(5) }, &mut out);
         let _ = s.on_receiver_message(1, ReceiverMsg::Move { sc: 0, p: Position(5) }, &mut out);
-        let range = out
-            .iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: ChannelMsg::SendRange { first, msgs, .. } } => {
-                    Some((first.0, msgs.len()))
-                }
-                _ => None,
-            })
-            .expect("blocked range transmitted");
-        assert_eq!(range, (5, 4), "the whole chunk ships with its original boundary");
+        assert_eq!(
+            range_frames(&out),
+            vec![(5, 4)],
+            "the whole chunk ships with its original boundary"
+        );
     }
 
     #[test]
     fn sc_send_many_overlap_ships_content_before_shares_and_cert_after() {
         let ring = Keyring::new(5);
-        let c = range_cfg(Variant::SenderCollect, 16, 8);
+        let c = range_cfg(SC, 16, 8);
         let mut s0: SenderEndpoint<Blob> = SenderEndpoint::new(c.clone(), 0, ring.clone());
         let mut s1: SenderEndpoint<Blob> = SenderEndpoint::new(c, 1, ring);
         let msgs = blobs(1, 4);
@@ -1787,8 +1750,7 @@ mod tests {
     #[test]
     fn sc_without_overlap_ships_content_with_certificate() {
         let ring = Keyring::new(5);
-        let c = range_cfg(Variant::SenderCollect, 16, 8)
-            .with_mode(crate::ChannelMode::SenderCast { overlap: false });
+        let c = range_cfg(SC, 16, 8).with_mode(crate::ChannelMode::SenderCast { overlap: false });
         let mut s0: SenderEndpoint<Blob> = SenderEndpoint::new(c.clone(), 0, ring.clone());
         let mut s1: SenderEndpoint<Blob> = SenderEndpoint::new(c, 1, ring);
         let msgs = blobs(1, 4);
@@ -1824,7 +1786,7 @@ mod tests {
     #[test]
     fn sc_select_reships_range_bundles() {
         let ring = Keyring::new(5);
-        let c = range_cfg(Variant::SenderCollect, 16, 8);
+        let c = range_cfg(SC, 16, 8);
         let mut s1: SenderEndpoint<Blob> = SenderEndpoint::new(c.clone(), 1, ring.clone());
         let mut s0: SenderEndpoint<Blob> = SenderEndpoint::new(c, 0, ring);
         let msgs = blobs(1, 3);
@@ -1857,7 +1819,7 @@ mod tests {
     #[test]
     fn sc_diverged_range_boundaries_heal_via_per_slot_fallback() {
         let ring = Keyring::new(5);
-        let c = range_cfg(Variant::SenderCollect, 16, 8);
+        let c = range_cfg(SC, 16, 8);
         let mut s0: SenderEndpoint<Blob> = SenderEndpoint::new(c.clone(), 0, ring.clone());
         let mut s1: SenderEndpoint<Blob> = SenderEndpoint::new(c, 1, ring);
         // Same content, different boundaries: s0 sends 1..=4 as one range,
@@ -1923,7 +1885,7 @@ mod tests {
 
     #[test]
     fn linger_buffers_contiguous_sends_and_flushes_on_deadline() {
-        let c = IrmcConfig::new(Variant::ReceiverCollect, 3, 1, 3, 1, 32)
+        let c = IrmcConfig::new(RC, 3, 1, 3, 1, 32)
             .with_cost(spider_crypto::CostModel::zero())
             .with_range(8, SimTime::from_millis(5));
         let mut s: SenderEndpoint<Blob> = SenderEndpoint::new(c, 0, Keyring::new(5));
@@ -1943,32 +1905,19 @@ mod tests {
         s.tick(SimTime::from_millis(1), &mut out);
         assert!(out.iter().all(|a| !matches!(a, Action::ToReceiver { .. })));
         s.tick(SimTime::from_millis(5), &mut out);
-        let range = out
-            .iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: ChannelMsg::SendRange { first, msgs, .. } } => {
-                    Some((first.0, msgs.len()))
-                }
-                _ => None,
-            })
-            .expect("deadline flushed the run");
-        assert_eq!(range, (1, 3));
+        assert_eq!(range_frames(&out), vec![(1, 3)], "deadline flushed the run");
     }
 
     #[test]
     fn linger_flushes_when_full_or_non_contiguous() {
-        let c = IrmcConfig::new(Variant::ReceiverCollect, 3, 1, 3, 1, 32)
+        let c = IrmcConfig::new(RC, 3, 1, 3, 1, 32)
             .with_cost(spider_crypto::CostModel::zero())
             .with_range(2, SimTime::from_millis(50));
         let mut s: SenderEndpoint<Blob> = SenderEndpoint::new(c, 0, Keyring::new(5));
         let mut out = Vec::new();
         s.send_buffered(0, Position(1), Blob::new(b"a"), SimTime::ZERO, &mut out);
         s.send_buffered(0, Position(2), Blob::new(b"b"), SimTime::ZERO, &mut out);
-        assert!(
-            out.iter()
-                .any(|a| matches!(a, Action::ToReceiver { msg: ChannelMsg::SendRange { .. }, .. })),
-            "full buffer flushes immediately"
-        );
+        assert_eq!(range_frames(&out), vec![(1, 2)], "full buffer flushes immediately");
         out.clear();
         s.send_buffered(0, Position(5), Blob::new(b"c"), SimTime::ZERO, &mut out);
         s.send_buffered(0, Position(9), Blob::new(b"d"), SimTime::ZERO, &mut out);

@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spider_crypto::{Digest, Digestible, Keyring};
 use spider_irmc::{
-    Action, ChannelMsg, IrmcConfig, ReceiveResult, ReceiverEndpoint, SenderEndpoint, Variant,
+    Action, ChannelMode, ChannelMsg, IrmcConfig, ReceiveResult, ReceiverEndpoint, SenderEndpoint,
 };
 use spider_types::{Position, SimTime, WireSize};
 use std::collections::VecDeque;
@@ -166,17 +166,20 @@ impl Net {
     }
 }
 
-fn cfg(variant: Variant, capacity: u64) -> IrmcConfig {
-    IrmcConfig::new(variant, 4, 1, 3, 1, capacity).with_cost(spider_crypto::CostModel::zero())
+const RC: ChannelMode = ChannelMode::ReliableCast { dedup: true };
+const SC: ChannelMode = ChannelMode::SenderCast { overlap: true };
+
+fn cfg(mode: ChannelMode, capacity: u64) -> IrmcConfig {
+    IrmcConfig::new(mode, 4, 1, 3, 1, capacity).with_cost(spider_crypto::CostModel::zero())
 }
 
-fn range_cfg(variant: Variant, capacity: u64, max_range: usize) -> IrmcConfig {
-    cfg(variant, capacity).with_range(max_range, SimTime::ZERO)
+fn range_cfg(mode: ChannelMode, capacity: u64, max_range: usize) -> IrmcConfig {
+    cfg(mode, capacity).with_range(max_range, SimTime::ZERO)
 }
 
 #[test]
 fn rc_channel_delivers_end_to_end() {
-    let mut net = Net::new(cfg(Variant::ReceiverCollect, 8), 1, false);
+    let mut net = Net::new(cfg(RC, 8), 1, false);
     let m = Blob::of(7);
     net.send_all(0, Position(1), &m);
     net.pump();
@@ -187,7 +190,7 @@ fn rc_channel_delivers_end_to_end() {
 
 #[test]
 fn sc_channel_delivers_end_to_end() {
-    let mut net = Net::new(cfg(Variant::SenderCollect, 8), 1, false);
+    let mut net = Net::new(cfg(SC, 8), 1, false);
     let m = Blob::of(7);
     net.send_all(0, Position(1), &m);
     net.pump();
@@ -198,7 +201,7 @@ fn sc_channel_delivers_end_to_end() {
 
 #[test]
 fn capacity_limits_in_flight_positions_until_receivers_advance() {
-    let mut net = Net::new(cfg(Variant::ReceiverCollect, 2), 1, false);
+    let mut net = Net::new(cfg(RC, 2), 1, false);
     // Send positions 1..=4 from all senders; only 1 and 2 fit the window.
     for p in 1..=4u64 {
         net.send_all(0, Position(p), &Blob::of(p));
@@ -229,7 +232,7 @@ fn lagging_receiver_gets_too_old_after_peer_moves() {
     // fresh message at position 11 still reaches receiver 2 (stored above
     // its window start is fine), but position 5 can never deliver there
     // once its own window moves via sender Moves.
-    let mut net = Net::new(cfg(Variant::ReceiverCollect, 4), 1, false);
+    let mut net = Net::new(cfg(RC, 4), 1, false);
     net.send_all(0, Position(1), &Blob::of(1));
     net.pump();
     for i in 0..2 {
@@ -248,7 +251,7 @@ fn lagging_receiver_gets_too_old_after_peer_moves() {
 fn byzantine_minority_cannot_force_delivery() {
     // fs = 1: a single faulty sender submits garbage for a position no
     // correct sender uses. It must never deliver.
-    let mut net = Net::new(cfg(Variant::ReceiverCollect, 8), 1, false);
+    let mut net = Net::new(cfg(RC, 8), 1, false);
     let evil = Blob::of(666);
     {
         let mut out = Vec::new();
@@ -265,7 +268,7 @@ fn byzantine_minority_cannot_force_delivery() {
 fn equivocating_sender_cannot_split_receivers() {
     // Correct senders 0..3 send A; faulty sender 3 sends B. Every receiver
     // delivers A (B has at most weight 1 < fs + 1).
-    let mut net = Net::new(cfg(Variant::ReceiverCollect, 8), 1, true);
+    let mut net = Net::new(cfg(RC, 8), 1, true);
     let a = Blob::of(1);
     let b = Blob::of(2);
     for i in 0..3 {
@@ -284,7 +287,7 @@ fn equivocating_sender_cannot_split_receivers() {
 
 #[test]
 fn sc_faulty_collector_is_replaced_and_content_flows() {
-    let c = cfg(Variant::SenderCollect, 8);
+    let c = cfg(SC, 8);
     let mut net = Net::new(c, 1, false);
     let m = Blob::of(9);
     // Sender 0 (receiver 0's default collector) is faulty: it assembles
@@ -323,8 +326,8 @@ proptest! {
     /// to every receiver; nothing else is ever delivered.
     #[test]
     fn random_schedule_delivery(seed in 0u64..10_000, variant_sc in any::<bool>(), n_msgs in 1u64..20) {
-        let variant = if variant_sc { Variant::SenderCollect } else { Variant::ReceiverCollect };
-        let mut net = Net::new(cfg(variant, 64), seed, true);
+        let mode = if variant_sc { SC } else { RC };
+        let mut net = Net::new(cfg(mode, 64), seed, true);
         for p in 1..=n_msgs {
             net.send_all(0, Position(p), &Blob::of(p));
         }
@@ -342,7 +345,7 @@ proptest! {
     /// receiver window moves.
     #[test]
     fn faulty_sender_moves_alone_never_shift_windows(seed in 0u64..10_000, target in 2u64..100) {
-        let mut net = Net::new(cfg(Variant::ReceiverCollect, 8), seed, true);
+        let mut net = Net::new(cfg(RC, 8), seed, true);
         let mut out = Vec::new();
         net.senders[2].move_window(0, Position(target), &mut out);
         net.absorb_sender(2, out);
@@ -356,7 +359,7 @@ proptest! {
     /// ask (IRMC-Liveness III).
     #[test]
     fn quorum_sender_moves_shift_windows(seed in 0u64..10_000, target in 2u64..100) {
-        let mut net = Net::new(cfg(Variant::ReceiverCollect, 8), seed, true);
+        let mut net = Net::new(cfg(RC, 8), seed, true);
         for i in 0..2 {
             let mut out = Vec::new();
             net.senders[i].move_window(0, Position(target), &mut out);
@@ -374,7 +377,7 @@ fn single_byzantine_receiver_cannot_advance_sender_windows() {
     // IRMC-Correctness II, sender side: a sender's window follows the
     // fr+1-highest receiver request, so one lying receiver (fr = 1)
     // cannot make senders discard undelivered messages.
-    let mut net = Net::new(cfg(Variant::ReceiverCollect, 4), 21, false);
+    let mut net = Net::new(cfg(RC, 4), 21, false);
     let mut out = Vec::new();
     // Receiver 2 claims everyone may discard up to position 1000.
     net.receivers[2].move_window(0, Position(1000), &mut out);
@@ -400,7 +403,7 @@ fn single_byzantine_receiver_cannot_advance_sender_windows() {
 fn capacity_one_channel_is_live_with_stop_and_wait() {
     // The minimum legal capacity degenerates to stop-and-wait: each
     // position only flows after every receiver consumed the previous one.
-    let mut net = Net::new(cfg(Variant::ReceiverCollect, 1), 22, false);
+    let mut net = Net::new(cfg(RC, 1), 22, false);
     for p in 1..=5u64 {
         net.send_all(0, Position(p), &Blob::of(p));
         net.pump();
@@ -419,7 +422,7 @@ fn capacity_one_channel_is_live_with_stop_and_wait() {
 fn subchannels_are_independent_queues() {
     // Blocking subchannel 1 at its capacity must not affect subchannel 2
     // (the request channel runs one subchannel per client, §3.2).
-    let mut net = Net::new(cfg(Variant::ReceiverCollect, 2), 23, false);
+    let mut net = Net::new(cfg(RC, 2), 23, false);
     // Fill subchannel 1 beyond capacity: positions 3.. block.
     for p in 1..=4u64 {
         net.send_all(1, Position(p), &Blob::of(p));
@@ -444,7 +447,7 @@ fn sc_range_faulty_collector_is_replaced_and_content_flows() {
     // ships the early content (§A.9 overlap) but never the shares-only
     // certificate. The content alone must not deliver; the collector
     // switch restores delivery.
-    let mut net = Net::new(range_cfg(Variant::SenderCollect, 16, 8), 1, false);
+    let mut net = Net::new(range_cfg(SC, 16, 8), 1, false);
     net.drop_cert_link = Some((0, 0));
     let msgs: Vec<Blob> = (1..=4u64).map(Blob::of).collect();
     net.send_many_all(0, Position(1), &msgs);
@@ -497,8 +500,8 @@ proptest! {
         n_msgs in 2u64..40,
         chunk in 2usize..9,
     ) {
-        let variant = if variant_sc { Variant::SenderCollect } else { Variant::ReceiverCollect };
-        let mut net = Net::new(range_cfg(variant, 64, chunk), seed, true);
+        let mode = if variant_sc { SC } else { RC };
+        let mut net = Net::new(range_cfg(mode, 64, chunk), seed, true);
         let msgs: Vec<Blob> = (1..=n_msgs).map(Blob::of).collect();
         net.send_many_all(0, Position(1), &msgs);
         net.pump();
@@ -521,7 +524,7 @@ proptest! {
         tamper in 0u64..20,
     ) {
         let tamper_idx = (tamper % n_msgs) as usize;
-        let mut net = Net::new(range_cfg(Variant::ReceiverCollect, 64, 64), seed, true);
+        let mut net = Net::new(range_cfg(RC, 64, 64), seed, true);
         let msgs: Vec<Blob> = (1..=n_msgs).map(Blob::of).collect();
         net.send_many_all(0, Position(1), &msgs);
         // Corrupt the tampered member in every in-flight copy (the
@@ -553,7 +556,7 @@ proptest! {
         seed in 0u64..10_000,
         n_msgs in 2u64..16,
     ) {
-        let mut net = Net::new(range_cfg(Variant::SenderCollect, 64, 64), seed, true);
+        let mut net = Net::new(range_cfg(SC, 64, 64), seed, true);
         // Every collector withholds certificates from its receiver — only
         // early content and shares flow.
         net.drop_cert_link = Some((0, 0));

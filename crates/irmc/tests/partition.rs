@@ -1,6 +1,6 @@
 //! Partition-and-heal properties of the IRMC-RC channel: a network cut
 //! that swallows in-flight casts mid-range must never wedge the channel.
-//! After the heal, the senders' stalled-window re-cast (plus the dedup
+//! After the heal, the senders' stalled-window re-cast (plus the range
 //! refetch machinery) delivers exactly the slot sequence an unfaulted
 //! run delivers — and the re-cast terminates once receivers re-announce
 //! their windows, so the channel quiesces again.
@@ -10,8 +10,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spider_crypto::{Digest, Digestible, Keyring};
 use spider_irmc::{
-    Action, ChannelMode, ChannelMsg, IrmcConfig, ReceiverEndpoint, SenderEndpoint, Variant,
-    RC_RECAST_TICKS,
+    Action, ChannelMode, ChannelMsg, IrmcConfig, ReceiverEndpoint, SenderEndpoint, RC_RECAST_TICKS,
 };
 use spider_types::{Position, SimTime, WireSize};
 use std::collections::VecDeque;
@@ -46,7 +45,7 @@ enum Cut {
     /// Every frame between the sender and receiver groups is lost, in
     /// both directions (total blackout of the channel).
     Total,
-    /// Only frames *from* this sender are lost — severing a dedup
+    /// Only frames *from* this sender are lost — severing a range's
     /// primary carrier from the receivers while its vouchers get
     /// through.
     FromSender(usize),
@@ -183,14 +182,12 @@ impl Net {
     }
 }
 
-fn legacy_cfg(chunk: usize) -> IrmcConfig {
-    IrmcConfig::new(Variant::ReceiverCollect, 4, 1, 3, 1, 64)
+/// An IRMC-RC channel cutting ranges of at most `chunk` slots; `chunk`
+/// 1 keeps every slot on the per-slot `Send` path request channels use.
+fn rc_cfg(chunk: usize) -> IrmcConfig {
+    IrmcConfig::new(ChannelMode::ReliableCast { dedup: true }, 4, 1, 3, 1, 64)
         .with_cost(spider_crypto::CostModel::zero())
         .with_range(chunk, SimTime::ZERO)
-}
-
-fn dedup_cfg(chunk: usize) -> IrmcConfig {
-    legacy_cfg(chunk).with_mode(ChannelMode::ReliableCast { dedup: true })
 }
 
 /// Runs one partition-and-heal scenario: the first half of the stream
@@ -228,30 +225,28 @@ proptest! {
 
     /// A total blackout mid-range wedges nothing: after the heal the
     /// re-cast delivers the byte-identical slot sequence of an unfaulted
-    /// run, for both the legacy and the dedup RC fan-in.
+    /// run, for ranges and for per-slot sends (`chunk` 1).
     #[test]
     fn total_blackout_heals_to_unfaulted_sequence(
         seed in 0u64..10_000,
         n_msgs in 2u64..40,
-        chunk in 2usize..9,
+        chunk in 1usize..9,
     ) {
-        for cfg in [legacy_cfg(chunk), dedup_cfg(chunk)] {
-            let (clean, _) = run_partition(cfg.clone(), seed, Cut::None, n_msgs);
-            let (healed, _) = run_partition(cfg, seed, Cut::Total, n_msgs);
-            prop_assert_eq!(&healed, &clean);
-            for (r, slots) in healed.iter().enumerate() {
-                for (i, slot) in slots.iter().enumerate() {
-                    prop_assert_eq!(
-                        slot.clone(),
-                        Some(Blob::of(i as u64 + 1)),
-                        "receiver {} slot {} must deliver after the heal", r, i + 1
-                    );
-                }
+        let (clean, _) = run_partition(rc_cfg(chunk), seed, Cut::None, n_msgs);
+        let (healed, _) = run_partition(rc_cfg(chunk), seed, Cut::Total, n_msgs);
+        prop_assert_eq!(&healed, &clean);
+        for (r, slots) in healed.iter().enumerate() {
+            for (i, slot) in slots.iter().enumerate() {
+                prop_assert_eq!(
+                    slot.clone(),
+                    Some(Blob::of(i as u64 + 1)),
+                    "receiver {} slot {} must deliver after the heal", r, i + 1
+                );
             }
         }
     }
 
-    /// Severing a dedup primary carrier from the receivers while the
+    /// Severing a range's primary carrier from the receivers while the
     /// vouchers still get through costs nothing even *without* a heal:
     /// the vouch quorum arms the supervision timer and the content is
     /// refetched from a voucher's retained copy.
@@ -259,10 +254,10 @@ proptest! {
     fn dedup_carrier_severed_from_vouchers_still_delivers(
         seed in 0u64..10_000,
         n_msgs in 2u64..40,
-        chunk in 2usize..9,
+        chunk in 1usize..9,
         severed in 0usize..4,
     ) {
-        let mut net = Net::new(dedup_cfg(chunk), seed);
+        let mut net = Net::new(rc_cfg(chunk), seed);
         let msgs: Vec<Blob> = (1..=n_msgs).map(Blob::of).collect();
         net.cut = Cut::FromSender(severed);
         net.send_batch_all(0, Position(1), &msgs);
@@ -294,9 +289,9 @@ proptest! {
     fn recast_converges_after_receivers_moved_on(
         seed in 0u64..10_000,
         n_msgs in 2u64..40,
-        chunk in 2usize..9,
+        chunk in 1usize..9,
     ) {
-        let mut net = Net::new(dedup_cfg(chunk), seed);
+        let mut net = Net::new(rc_cfg(chunk), seed);
         let msgs: Vec<Blob> = (1..=n_msgs).map(Blob::of).collect();
         net.send_batch_all(0, Position(1), &msgs);
         net.pump();
@@ -329,10 +324,10 @@ proptest! {
     fn partition_heal_double_run_is_deterministic(
         seed in 0u64..10_000,
         n_msgs in 2u64..24,
-        chunk in 2usize..9,
+        chunk in 1usize..9,
     ) {
-        let (d1, log1) = run_partition(dedup_cfg(chunk), seed, Cut::Total, n_msgs);
-        let (d2, log2) = run_partition(dedup_cfg(chunk), seed, Cut::Total, n_msgs);
+        let (d1, log1) = run_partition(rc_cfg(chunk), seed, Cut::Total, n_msgs);
+        let (d2, log2) = run_partition(rc_cfg(chunk), seed, Cut::Total, n_msgs);
         prop_assert_eq!(d1, d2);
         prop_assert_eq!(log1, log2);
     }
